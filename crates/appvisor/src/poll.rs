@@ -654,6 +654,9 @@ fn worker_loop(
         if stop.load(Ordering::SeqCst) {
             return;
         }
+        // Count the scan before it can push a frame: a receiver that sees
+        // a frame must also see the wakeup that delivered it.
+        wakeups.inc();
         let mut ready = 0u64;
         sources.retain_mut(|reg| loop {
             match reg.source.try_recv() {
@@ -668,7 +671,6 @@ fn worker_loop(
                 }
             }
         });
-        wakeups.inc();
         ready_hist.observe(ready);
         if ready == 0 {
             let park = if sources.iter().all(|r| r.source.has_waker()) {

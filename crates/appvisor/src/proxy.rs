@@ -6,10 +6,13 @@
 //! [...] uses communication failures with the stub to detect that the
 //! SDN-App has crashed."
 //!
-//! The proxy is deliberately runtime-agnostic: it exposes blocking
-//! per-app RPCs (deliver / snapshot / restore) and heartbeat accounting;
-//! the LegoSDN runtime (crate `legosdn`) supplies the dispatch policy and
-//! Crash-Pad supplies recovery.
+//! The proxy is deliberately runtime-agnostic: it exposes tagged per-app
+//! RPCs — `queue_*` sends a request without waiting, `collect_*` awaits
+//! its reply — plus blocking deliver / snapshot / restore built from the
+//! same two halves, and heartbeat accounting. Every reply arrives
+//! through one receive path (`await_tag`). The LegoSDN runtime (crate
+//! `legosdn`) supplies the dispatch policy and Crash-Pad supplies
+//! recovery.
 
 use crate::poll::{
     queue_duplex_pair, tcp_duplex_pair, udp_duplex_pair, Duplex, PolledTransport, Poller,
@@ -116,39 +119,6 @@ pub enum DeliverOutcome {
     /// No response within the deadline — a communication failure, the
     /// paper's primary crash signal.
     CommFailure,
-}
-
-/// One app's result from a fan-out delivery: the outcome plus how long
-/// the proxy waited for it (wall time from the end of the send phase),
-/// so callers can attribute pipeline latency per app.
-#[derive(Clone, Debug)]
-pub struct FanoutDelivery {
-    /// What the app did with the event (or why we could not ask it).
-    pub outcome: Result<DeliverOutcome, ProxyError>,
-    /// Wall time from the end of [`AppVisorProxy::fanout_send`] until
-    /// this app's outcome was classified. Because collection is
-    /// in-order, an app's elapsed time includes any wait spent on apps
-    /// ahead of it; the *maximum* over a fan-out is the round's cost.
-    pub elapsed: Duration,
-}
-
-/// In-flight fan-out: the frames are sent, the acks are not yet
-/// collected. Produced by [`AppVisorProxy::fanout_send`], consumed by
-/// [`AppVisorProxy::fanout_collect`]. Dropping it without collecting
-/// leaves unread acks queued on the transports; the per-seq matching in
-/// the recv loops discards stale acks, so that is safe but wasteful.
-#[must_use = "collect the fan-out or the acks rot in the transports"]
-pub struct FanoutTicket {
-    handles: Vec<AppHandle>,
-    seqs: Vec<Option<u64>>,
-    started: Instant,
-}
-
-impl FanoutTicket {
-    /// Apps included in this fan-out, in send (and collection) order.
-    pub fn handles(&self) -> &[AppHandle] {
-        &self.handles
-    }
 }
 
 /// Proxy-level failure.
@@ -402,7 +372,10 @@ impl AppVisorProxy {
             .ok_or(ProxyError::UnknownApp)
     }
 
-    /// Deliver an event to an isolated app and wait for its commands.
+    /// Deliver an event to an isolated app and wait for its commands:
+    /// [`AppVisorProxy::queue_deliver`] then
+    /// [`AppVisorProxy::collect_deliver`]. A failed send is a
+    /// communication failure, exactly as on the queued path.
     pub fn deliver(
         &mut self,
         h: AppHandle,
@@ -413,74 +386,9 @@ impl AppVisorProxy {
     ) -> Result<DeliverOutcome, ProxyError> {
         let obs = self.obs.clone();
         let _span = obs.span("appvisor.deliver");
-        let deliver_timeout = self.config.deliver_timeout;
-        let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.next_seq += 1;
-        let seq = slot.next_seq;
-        let frame = encode_frame(&RpcMessage::EventDeliver {
-            seq,
-            event: event.clone(),
-            topology: topology.clone(),
-            devices: devices.clone(),
-            now,
-        });
-        slot.stats.bytes_sent += frame.len() as u64;
-        obs.counter("appvisor", "bytes_sent", &slot.name)
-            .add(frame.len() as u64);
-        obs.trace_event("send", &slot.name, "rpc");
-        slot.transport.send(&frame).map_err(ProxyError::Transport)?;
-
-        let deadline = Instant::now() + deliver_timeout;
-        loop {
-            let Some(remaining) = time_left(deadline) else {
-                slot.stats.comm_failures += 1;
-                slot.alive = false;
-                obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                obs.trace_event("collect", &slot.name, "comm_failure");
-                return Ok(DeliverOutcome::CommFailure);
-            };
-            match slot.transport.recv_timeout(remaining) {
-                Ok(Some(frame)) => {
-                    slot.stats.bytes_received += frame.len() as u64;
-                    obs.counter("appvisor", "bytes_received", &slot.name)
-                        .add(frame.len() as u64);
-                    match decode_frame(&frame) {
-                        Ok(RpcMessage::EventAck { seq: s, commands }) if s == seq => {
-                            slot.stats.events_delivered += 1;
-                            slot.last_heartbeat = Instant::now();
-                            obs.counter("appvisor", "events_delivered", &slot.name)
-                                .inc();
-                            obs.trace_event("collect", &slot.name, "ok");
-                            return Ok(DeliverOutcome::Commands(commands));
-                        }
-                        Ok(RpcMessage::Crashed {
-                            seq: s,
-                            panic_message,
-                        }) if s == seq => {
-                            slot.stats.crashes_detected += 1;
-                            slot.alive = false;
-                            obs.counter("appvisor", "crashes_detected", &slot.name)
-                                .inc();
-                            obs.trace_event("collect", &slot.name, "crashed");
-                            return Ok(DeliverOutcome::Crashed { panic_message });
-                        }
-                        Ok(RpcMessage::Heartbeat { .. }) => {
-                            slot.last_heartbeat = Instant::now();
-                        }
-                        // Stale acks from before a restore: ignore.
-                        _ => {}
-                    }
-                }
-                Ok(None) => {}
-                Err(TransportError::Disconnected) => {
-                    slot.stats.comm_failures += 1;
-                    slot.alive = false;
-                    obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                    obs.trace_event("collect", &slot.name, "comm_failure");
-                    return Ok(DeliverOutcome::CommFailure);
-                }
-                Err(e) => return Err(ProxyError::Transport(e)),
-            }
+        match self.queue_deliver(h, event, topology, devices, now)? {
+            Some(seq) => self.collect_deliver(h, seq),
+            None => Ok(DeliverOutcome::CommFailure),
         }
     }
 
@@ -490,39 +398,10 @@ impl AppVisorProxy {
     pub fn snapshot(&mut self, h: AppHandle) -> Result<Vec<u8>, ProxyError> {
         let obs = self.obs.clone();
         let _span = obs.span("appvisor.snapshot");
-        let rpc_timeout = self.config.rpc_timeout;
-        let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.next_seq += 1;
-        let seq = slot.next_seq;
-        let frame = encode_frame(&RpcMessage::SnapshotRequest { seq });
-        slot.stats.bytes_sent += frame.len() as u64;
-        obs.counter("appvisor", "bytes_sent", &slot.name)
-            .add(frame.len() as u64);
-        slot.transport.send(&frame).map_err(ProxyError::Transport)?;
-        let deadline = Instant::now() + rpc_timeout;
-        loop {
-            let Some(remaining) = time_left(deadline) else {
-                return Err(ProxyError::Timeout);
-            };
-            match slot.transport.recv_timeout(remaining) {
-                Ok(Some(frame)) => {
-                    slot.stats.bytes_received += frame.len() as u64;
-                    obs.counter("appvisor", "bytes_received", &slot.name)
-                        .add(frame.len() as u64);
-                    match decode_frame(&frame) {
-                        Ok(RpcMessage::SnapshotReply { seq: s, bytes }) if s == seq => {
-                            return Ok(bytes);
-                        }
-                        Ok(RpcMessage::Heartbeat { .. }) => {
-                            slot.last_heartbeat = Instant::now();
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => return Err(ProxyError::Transport(e)),
-            }
-        }
+        let seq = self
+            .send_request(h, "snap_send", |seq| RpcMessage::SnapshotRequest { seq })?
+            .map_err(ProxyError::Transport)?;
+        self.collect_snapshot(h, seq)
     }
 
     /// Restore the app from a checkpoint, reviving it if it was dead (the
@@ -530,228 +409,29 @@ impl AppVisorProxy {
     pub fn restore(&mut self, h: AppHandle, bytes: &[u8]) -> Result<bool, ProxyError> {
         let obs = self.obs.clone();
         let _span = obs.span("appvisor.restore");
-        let rpc_timeout = self.config.rpc_timeout;
-        let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.next_seq += 1;
-        let seq = slot.next_seq;
-        let frame = encode_frame(&RpcMessage::RestoreRequest {
-            seq,
-            bytes: bytes.to_vec(),
-        });
-        slot.stats.bytes_sent += frame.len() as u64;
-        obs.counter("appvisor", "bytes_sent", &slot.name)
-            .add(frame.len() as u64);
-        slot.transport.send(&frame).map_err(ProxyError::Transport)?;
-        let deadline = Instant::now() + rpc_timeout;
-        loop {
-            let Some(remaining) = time_left(deadline) else {
-                return Err(ProxyError::Timeout);
-            };
-            match slot.transport.recv_timeout(remaining) {
-                Ok(Some(frame)) => {
-                    slot.stats.bytes_received += frame.len() as u64;
-                    obs.counter("appvisor", "bytes_received", &slot.name)
-                        .add(frame.len() as u64);
-                    match decode_frame(&frame) {
-                        Ok(RpcMessage::RestoreAck { seq: s, ok }) if s == seq => {
-                            // Anything stashed or cancelled predates this
-                            // restore and can never be collected: the
-                            // in-flight queue starts clean.
-                            slot.inbox.clear();
-                            slot.cancelled.clear();
-                            if ok {
-                                slot.alive = true;
-                                slot.stats.restores += 1;
-                                slot.last_heartbeat = Instant::now();
-                                obs.counter("appvisor", "restores", &slot.name).inc();
-                            }
-                            return Ok(ok);
-                        }
-                        Ok(RpcMessage::Heartbeat { .. }) => {
-                            slot.last_heartbeat = Instant::now();
-                        }
-                        _ => {}
-                    }
+        let seq = self
+            .send_request(h, "restore_send", |seq| RpcMessage::RestoreRequest {
+                seq,
+                bytes: bytes.to_vec(),
+            })?
+            .map_err(ProxyError::Transport)?;
+        let deadline = Instant::now() + self.config.rpc_timeout;
+        let slot = &mut self.apps[h.0];
+        match await_tag(slot, seq, deadline, &obs).map_err(ProxyError::Transport)? {
+            Some(RpcMessage::RestoreAck { ok, .. }) => {
+                // Anything stashed or cancelled predates this restore and
+                // can never be collected: the in-flight queue starts clean.
+                slot.inbox.clear();
+                slot.cancelled.clear();
+                if ok {
+                    slot.alive = true;
+                    slot.stats.restores += 1;
+                    slot.last_heartbeat = Instant::now();
+                    obs.counter("appvisor", "restores", &slot.name).inc();
                 }
-                Ok(None) => {}
-                Err(e) => return Err(ProxyError::Transport(e)),
+                Ok(ok)
             }
-        }
-    }
-
-    /// Deliver one event to many isolated apps **concurrently**: the event
-    /// is pushed to every stub before any ack is awaited, so app processing
-    /// overlaps across their threads. The paper's stubs are independent
-    /// processes; this is the dispatch pattern that exploits it ("SDN-Apps
-    /// [...] can handle multiple events in parallel", §5).
-    ///
-    /// Returns one [`FanoutDelivery`] per handle, in order, each carrying
-    /// the outcome plus the wall time until that app's result was
-    /// available. Unknown handles yield `Err` outcomes without aborting
-    /// the rest.
-    ///
-    /// This is [`AppVisorProxy::fanout_send`] + [`AppVisorProxy::fanout_collect`]
-    /// back to back; the pipelined runtime calls the halves directly so it
-    /// can run in-process sandboxes between them while the stubs work.
-    pub fn deliver_fanout(
-        &mut self,
-        handles: &[AppHandle],
-        event: &Event,
-        topology: &TopologyView,
-        devices: &DeviceView,
-        now: SimTime,
-    ) -> Vec<FanoutDelivery> {
-        let ticket = self.fanout_send(handles, event, topology, devices, now);
-        self.fanout_collect(ticket)
-    }
-
-    /// Fan-out phase 1: push the event to every stub without awaiting any
-    /// ack. Returns the ticket [`AppVisorProxy::fanout_collect`] needs to
-    /// gather the results; the stubs start processing as soon as their
-    /// frame lands, so work done between the two calls overlaps with them.
-    pub fn fanout_send(
-        &mut self,
-        handles: &[AppHandle],
-        event: &Event,
-        topology: &TopologyView,
-        devices: &DeviceView,
-        now: SimTime,
-    ) -> FanoutTicket {
-        let obs = self.obs.clone();
-        let _span = obs.span("appvisor.fanout_send");
-        let mut seqs: Vec<Option<u64>> = Vec::with_capacity(handles.len());
-        for h in handles {
-            match self.apps.get_mut(h.0) {
-                Some(slot) => {
-                    slot.next_seq += 1;
-                    let seq = slot.next_seq;
-                    let frame = encode_frame(&RpcMessage::EventDeliver {
-                        seq,
-                        event: event.clone(),
-                        topology: topology.clone(),
-                        devices: devices.clone(),
-                        now,
-                    });
-                    slot.stats.bytes_sent += frame.len() as u64;
-                    obs.counter("appvisor", "bytes_sent", &slot.name)
-                        .add(frame.len() as u64);
-                    match slot.transport.send(&frame) {
-                        Ok(()) => {
-                            obs.trace_event("send", &slot.name, "fanout");
-                            seqs.push(Some(seq));
-                        }
-                        Err(_) => {
-                            slot.alive = false;
-                            slot.stats.comm_failures += 1;
-                            obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                            obs.trace_event("send", &slot.name, "send_failed");
-                            seqs.push(None);
-                        }
-                    }
-                }
-                None => seqs.push(None),
-            }
-        }
-        FanoutTicket {
-            handles: handles.to_vec(),
-            seqs,
-            started: Instant::now(),
-        }
-    }
-
-    /// Fan-out phase 2: gather one result per handle in the ticket, in
-    /// order (the stubs worked in parallel already). Each result carries
-    /// the wall time from the end of the send phase to that app's outcome
-    /// being classified, recorded in the `appvisor.fanout_app_ns`
-    /// histogram per app.
-    pub fn fanout_collect(&mut self, ticket: FanoutTicket) -> Vec<FanoutDelivery> {
-        let obs = self.obs.clone();
-        let _span = obs.span("appvisor.fanout_collect");
-        let FanoutTicket {
-            handles,
-            seqs,
-            started,
-        } = ticket;
-        let deadline = started + self.config.deliver_timeout;
-        handles
-            .iter()
-            .zip(seqs)
-            .map(|(h, seq)| {
-                let outcome = self.collect_one(*h, seq, deadline, &obs);
-                let elapsed = started.elapsed();
-                if let Some(slot) = self.apps.get(h.0) {
-                    obs.histogram("appvisor", "fanout_app_ns", &slot.name)
-                        .observe(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-                }
-                FanoutDelivery { outcome, elapsed }
-            })
-            .collect()
-    }
-
-    /// Await one app's ack for an already-sent fan-out frame.
-    fn collect_one(
-        &mut self,
-        h: AppHandle,
-        seq: Option<u64>,
-        deadline: Instant,
-        obs: &Obs,
-    ) -> Result<DeliverOutcome, ProxyError> {
-        let Some(slot) = self.apps.get_mut(h.0) else {
-            return Err(ProxyError::UnknownApp);
-        };
-        let Some(seq) = seq else {
-            obs.trace_event("collect", &slot.name, "comm_failure");
-            return Ok(DeliverOutcome::CommFailure);
-        };
-        loop {
-            let Some(remaining) = time_left(deadline) else {
-                slot.stats.comm_failures += 1;
-                slot.alive = false;
-                obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                obs.trace_event("collect", &slot.name, "comm_failure");
-                return Ok(DeliverOutcome::CommFailure);
-            };
-            match slot.transport.recv_timeout(remaining) {
-                Ok(Some(frame)) => {
-                    slot.stats.bytes_received += frame.len() as u64;
-                    obs.counter("appvisor", "bytes_received", &slot.name)
-                        .add(frame.len() as u64);
-                    match decode_frame(&frame) {
-                        Ok(RpcMessage::EventAck { seq: s, commands }) if s == seq => {
-                            slot.stats.events_delivered += 1;
-                            slot.last_heartbeat = Instant::now();
-                            obs.counter("appvisor", "events_delivered", &slot.name)
-                                .inc();
-                            obs.trace_event("collect", &slot.name, "ok");
-                            return Ok(DeliverOutcome::Commands(commands));
-                        }
-                        Ok(RpcMessage::Crashed {
-                            seq: s,
-                            panic_message,
-                        }) if s == seq => {
-                            slot.stats.crashes_detected += 1;
-                            slot.alive = false;
-                            obs.counter("appvisor", "crashes_detected", &slot.name)
-                                .inc();
-                            obs.trace_event("collect", &slot.name, "crashed");
-                            return Ok(DeliverOutcome::Crashed { panic_message });
-                        }
-                        Ok(RpcMessage::Heartbeat { .. }) => {
-                            slot.last_heartbeat = Instant::now();
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(None) => {}
-                Err(TransportError::Disconnected) => {
-                    slot.stats.comm_failures += 1;
-                    slot.alive = false;
-                    obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                    obs.trace_event("collect", &slot.name, "comm_failure");
-                    return Ok(DeliverOutcome::CommFailure);
-                }
-                Err(e) => return Err(ProxyError::Transport(e)),
-            }
+            _ => Err(ProxyError::Timeout),
         }
     }
 
@@ -762,6 +442,40 @@ impl AppVisorProxy {
     // order, so event k+1 can be on its thread while the proxy is still
     // gathering event k from its peers.
     // ------------------------------------------------------------------
+
+    /// Push one tagged request onto an app's RPC stream without awaiting
+    /// the reply, tracing the send under `phase`. The inner `Err` is a
+    /// failed send, already recorded as a comm failure with the slot
+    /// marked dead.
+    fn send_request(
+        &mut self,
+        h: AppHandle,
+        phase: &str,
+        request: impl FnOnce(u64) -> RpcMessage,
+    ) -> Result<Result<u64, TransportError>, ProxyError> {
+        let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
+        slot.next_seq += 1;
+        let seq = slot.next_seq;
+        let frame = encode_frame(&request(seq));
+        slot.stats.bytes_sent += frame.len() as u64;
+        self.obs
+            .counter("appvisor", "bytes_sent", &slot.name)
+            .add(frame.len() as u64);
+        let sent = slot.transport.send(&frame).map(|()| seq);
+        let outcome = match sent {
+            Ok(_) => "queued",
+            Err(_) => {
+                slot.alive = false;
+                slot.stats.comm_failures += 1;
+                self.obs
+                    .counter("appvisor", "comm_failures", &slot.name)
+                    .inc();
+                "send_failed"
+            }
+        };
+        self.obs.trace_event(phase, &slot.name, outcome);
+        Ok(sent)
+    }
 
     /// Queue one event delivery on an app's RPC stream without awaiting
     /// the ack. `Ok(Some(tag))` is the handle for
@@ -777,25 +491,14 @@ impl AppVisorProxy {
         devices: &DeviceView,
         now: SimTime,
     ) -> Result<Option<u64>, ProxyError> {
-        let obs = self.obs.clone();
-        let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.next_seq += 1;
-        let seq = slot.next_seq;
-        let frame = encode_frame(&RpcMessage::EventDeliver {
+        let sent = self.send_request(h, "send", |seq| RpcMessage::EventDeliver {
             seq,
             event: event.clone(),
             topology: topology.clone(),
             devices: devices.clone(),
             now,
-        });
-        let tag = send_queued(slot, &frame, seq, &obs);
-        let outcome = if tag.is_some() {
-            "queued"
-        } else {
-            "send_failed"
-        };
-        obs.trace_event("send", &slot.name, outcome);
-        Ok(tag)
+        })?;
+        Ok(sent.ok())
     }
 
     /// Queue a snapshot request without awaiting the reply. Interleaved
@@ -804,19 +507,8 @@ impl AppVisorProxy {
     /// protocol takes, collected lazily via
     /// [`AppVisorProxy::collect_snapshot`].
     pub fn queue_snapshot(&mut self, h: AppHandle) -> Result<Option<u64>, ProxyError> {
-        let obs = self.obs.clone();
-        let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.next_seq += 1;
-        let seq = slot.next_seq;
-        let frame = encode_frame(&RpcMessage::SnapshotRequest { seq });
-        let tag = send_queued(slot, &frame, seq, &obs);
-        let outcome = if tag.is_some() {
-            "queued"
-        } else {
-            "send_failed"
-        };
-        obs.trace_event("snap_send", &slot.name, outcome);
-        Ok(tag)
+        let sent = self.send_request(h, "snap_send", |seq| RpcMessage::SnapshotRequest { seq })?;
+        Ok(sent.ok())
     }
 
     /// Collect the outcome of a queued delivery. The timeout window opens
@@ -947,24 +639,6 @@ impl AppVisorProxy {
             poller.shutdown();
         }
         reports
-    }
-}
-
-/// Account and push an already-encoded queued request; on send failure
-/// mark the slot dead and record the comm failure (mirrors
-/// [`AppVisorProxy::fanout_send`]'s per-slot behaviour).
-fn send_queued(slot: &mut AppSlot, frame: &[u8], seq: u64, obs: &Obs) -> Option<u64> {
-    slot.stats.bytes_sent += frame.len() as u64;
-    obs.counter("appvisor", "bytes_sent", &slot.name)
-        .add(frame.len() as u64);
-    match slot.transport.send(frame) {
-        Ok(()) => Some(seq),
-        Err(_) => {
-            slot.alive = false;
-            slot.stats.comm_failures += 1;
-            obs.counter("appvisor", "comm_failures", &slot.name).inc();
-            None
-        }
     }
 }
 
@@ -1254,6 +928,26 @@ mod tests {
         let _ = p.shutdown();
     }
 
+    /// Queue one event to every handle before collecting any ack — the
+    /// fan-out pattern: the stubs process concurrently on their threads.
+    fn fan_out(p: &mut AppVisorProxy, handles: &[AppHandle]) -> Vec<DeliverOutcome> {
+        let topo = TopologyView::default();
+        let dev = DeviceView::default();
+        let ev = Event::SwitchUp(DatapathId(1));
+        let tags: Vec<Option<u64>> = handles
+            .iter()
+            .map(|&h| p.queue_deliver(h, &ev, &topo, &dev, SimTime::ZERO).unwrap())
+            .collect();
+        handles
+            .iter()
+            .zip(tags)
+            .map(|(&h, tag)| match tag {
+                Some(seq) => p.collect_deliver(h, seq).unwrap(),
+                None => DeliverOutcome::CommFailure,
+            })
+            .collect()
+    }
+
     #[test]
     fn fanout_delivers_to_all_in_parallel() {
         let mut p = proxy();
@@ -1269,23 +963,14 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let topo = TopologyView::default();
-        let dev = DeviceView::default();
-        let results = p.deliver_fanout(
-            &handles,
-            &Event::SwitchUp(DatapathId(1)),
-            &topo,
-            &dev,
-            SimTime::ZERO,
-        );
-        assert_eq!(results.len(), 4);
-        for r in &results {
+        for outcome in fan_out(&mut p, &handles) {
             assert!(
-                matches!(&r.outcome, Ok(DeliverOutcome::Commands(c)) if c.len() == 1),
-                "{r:?}"
+                matches!(&outcome, DeliverOutcome::Commands(c) if c.len() == 1),
+                "{outcome:?}"
             );
         }
-        // Mixed with a crasher and a bogus handle.
+        // Mixed with a crasher: the healthy apps are unaffected by their
+        // neighbor's crash.
         let crashy = p
             .launch_app(
                 Box::new(TestApp {
@@ -1297,65 +982,45 @@ mod tests {
             .unwrap();
         let mut all = handles.clone();
         all.push(crashy);
-        all.push(AppHandle(99));
-        let results = p.deliver_fanout(
-            &all,
-            &Event::SwitchUp(DatapathId(1)),
-            &topo,
-            &dev,
-            SimTime::ZERO,
-        );
-        assert!(matches!(
-            &results[4].outcome,
-            Ok(DeliverOutcome::Crashed { .. })
-        ));
-        assert!(matches!(&results[5].outcome, Err(ProxyError::UnknownApp)));
-        // Healthy apps unaffected by their neighbor's crash.
-        for r in &results[..4] {
-            assert!(matches!(&r.outcome, Ok(DeliverOutcome::Commands(_))));
+        let outcomes = fan_out(&mut p, &all);
+        assert!(matches!(&outcomes[4], DeliverOutcome::Crashed { .. }));
+        for outcome in &outcomes[..4] {
+            assert!(matches!(outcome, DeliverOutcome::Commands(_)));
         }
+        // An unknown handle is an error, not a silent skip.
+        assert_eq!(
+            p.queue_deliver(
+                AppHandle(99),
+                &Event::SwitchUp(DatapathId(1)),
+                &TopologyView::default(),
+                &DeviceView::default(),
+                SimTime::ZERO
+            )
+            .unwrap_err(),
+            ProxyError::UnknownApp
+        );
         let _ = p.shutdown();
     }
 
     #[test]
-    fn fanout_send_collect_split_matches_composed_call() {
-        // The pipelined runtime calls the halves directly so it can run
-        // local sandboxes between them; the split must behave exactly
-        // like the composed `deliver_fanout` and report per-app wall time.
+    fn failed_send_is_a_comm_failure_on_every_path() {
+        // The far end hangs up before the proxy sends: blocking deliver
+        // and queued delivery classify the failed send identically.
+        let (proxy_side, mut stub_side) = ChannelTransport::pair();
+        stub_side
+            .send(&encode_frame(&RpcMessage::Register {
+                app_name: "gone".into(),
+                subscriptions: vec![EventKind::SwitchUp],
+            }))
+            .unwrap();
         let mut p = proxy();
-        let handles: Vec<AppHandle> = (0..3)
-            .map(|_| {
-                p.launch_app(
-                    Box::new(TestApp {
-                        count: 0,
-                        crash_on_count: None,
-                    }),
-                    TransportKind::Channel,
-                )
-                .unwrap()
-            })
-            .collect();
-        let topo = TopologyView::default();
-        let dev = DeviceView::default();
-        let ticket = p.fanout_send(
-            &handles,
-            &Event::SwitchUp(DatapathId(7)),
-            &topo,
-            &dev,
-            SimTime::ZERO,
-        );
-        assert_eq!(ticket.handles(), &handles[..]);
-        // Stubs are processing while the caller is free to do other work.
-        let results = p.fanout_collect(ticket);
-        assert_eq!(results.len(), 3);
-        for r in &results {
-            assert!(
-                matches!(&r.outcome, Ok(DeliverOutcome::Commands(c)) if c.len() == 1),
-                "{r:?}"
-            );
-            assert!(r.elapsed < Duration::from_secs(1));
-        }
-        let _ = p.shutdown();
+        let h = p.register_transport(Box::new(proxy_side), None).unwrap();
+        drop(stub_side);
+        assert_eq!(deliver(&mut p, h), DeliverOutcome::CommFailure);
+        assert!(!p.is_alive(h).unwrap());
+        assert_eq!(fan_out(&mut p, &[h]), vec![DeliverOutcome::CommFailure]);
+        assert_eq!(p.wire_stats(h).unwrap().comm_failures, 2);
+        assert!(matches!(p.snapshot(h), Err(ProxyError::Transport(_))));
     }
 
     #[test]
@@ -1712,19 +1377,10 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let topo = TopologyView::default();
-        let dev = DeviceView::default();
-        let results = p.deliver_fanout(
-            &handles,
-            &Event::SwitchUp(DatapathId(1)),
-            &topo,
-            &dev,
-            SimTime::ZERO,
-        );
-        for r in &results {
+        for outcome in fan_out(&mut p, &handles) {
             assert!(
-                matches!(&r.outcome, Ok(DeliverOutcome::Commands(_))),
-                "{r:?}"
+                matches!(outcome, DeliverOutcome::Commands(_)),
+                "{outcome:?}"
             );
         }
         let reports = p.shutdown();

@@ -29,7 +29,7 @@ use legosdn::controller::services::{DeviceView, TopologyView};
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
 use legosdn::prelude::*;
 use legosdn_bench::harness::{criterion_group, Criterion};
-use legosdn_bench::print_table;
+use legosdn_bench::{fan_out, print_table};
 use std::time::{Duration, Instant};
 
 const FLEET_APPS: usize = 1000;
@@ -52,8 +52,8 @@ fn thread_count() -> usize {
 
 fn fleet_proxy(io: IoMode, obs: Obs) -> AppVisorProxy {
     let mut proxy = AppVisorProxy::new(ProxyConfig {
-        // A fan-out's deadline is shared across the whole fleet; size it
-        // for 1000 apps on a loaded CI box.
+        // Each collect waits behind the whole fleet's queued work; size
+        // the deadline for 1000 apps on a loaded CI box.
         deliver_timeout: Duration::from_secs(30),
         rpc_timeout: Duration::from_secs(30),
         heartbeat_timeout: Duration::from_secs(60),
@@ -97,16 +97,16 @@ fn run_fleet(apps: usize, rounds: u64, io: IoMode, obs: Obs) -> FleetRun {
     let mut delivered = 0u64;
     let fanout_start = Instant::now();
     for _ in 0..rounds {
-        let results = proxy.deliver_fanout(
+        let results = fan_out(
+            &mut proxy,
             &handles,
             &Event::SwitchUp(DatapathId(1)),
             &topo,
             &dev,
-            SimTime::ZERO,
         );
         delivered += results
             .iter()
-            .filter(|r| matches!(&r.outcome, Ok(DeliverOutcome::Commands(_))))
+            .filter(|r| matches!(r, Ok(DeliverOutcome::Commands(_))))
             .count() as u64;
     }
     let fanout_s = fanout_start.elapsed().as_secs_f64();
@@ -350,12 +350,12 @@ fn bench(c: &mut Criterion) {
             .collect();
         g.bench_function(name, |b| {
             b.iter(|| {
-                proxy.deliver_fanout(
+                fan_out(
+                    &mut proxy,
                     &handles,
                     &Event::SwitchUp(DatapathId(1)),
                     &topo,
                     &dev,
-                    SimTime::ZERO,
                 )
             })
         });

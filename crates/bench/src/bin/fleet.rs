@@ -23,10 +23,9 @@ use legosdn::appvisor::{
 };
 use legosdn::controller::event::Event;
 use legosdn::controller::services::{DeviceView, TopologyView};
-use legosdn::netsim::SimTime;
 use legosdn::openflow::DatapathId;
 use legosdn_bench::args::{parse_or_exit, ArgWalker, IoArgs};
-use legosdn_bench::print_table;
+use legosdn_bench::{fan_out, print_table};
 
 struct FleetConfig {
     apps: usize,
@@ -104,9 +103,9 @@ fn main() {
 
     let baseline_threads = thread_count();
     let mut proxy = AppVisorProxy::new(ProxyConfig {
-        // Generous RPC deadlines: at 1000 apps a fan-out's shared deadline
-        // covers the whole fleet, and the smoke must fail on *thread*
-        // exhaustion, not on a slow CI machine.
+        // Generous RPC deadlines: at 1000 apps a collect can wait behind
+        // the whole fleet's queued work, and the smoke must fail on
+        // *thread* exhaustion, not on a slow CI machine.
         deliver_timeout: Duration::from_secs(30),
         rpc_timeout: Duration::from_secs(30),
         heartbeat_timeout: Duration::from_secs(60),
@@ -140,15 +139,15 @@ fn main() {
     let mut failed = 0u64;
     let fanout_start = Instant::now();
     for _ in 0..cfg.rounds {
-        let results = proxy.deliver_fanout(
+        let results = fan_out(
+            &mut proxy,
             &handles,
             &Event::SwitchUp(DatapathId(1)),
             &topo,
             &dev,
-            SimTime::ZERO,
         );
         for r in results {
-            match r.outcome {
+            match r {
                 Ok(DeliverOutcome::Commands(_)) => delivered += 1,
                 other => {
                     failed += 1;

@@ -6,6 +6,36 @@ pub mod args;
 pub mod harness;
 pub mod workloads;
 
+use legosdn::appvisor::{AppHandle, AppVisorProxy, DeliverOutcome, ProxyError};
+use legosdn::controller::event::Event;
+use legosdn::controller::services::{DeviceView, TopologyView};
+use legosdn::netsim::SimTime;
+
+/// Deliver one event to every app in `handles` through the queued proxy
+/// API: queue it on every stub first, then collect the acks in order, so
+/// the stubs process it concurrently. One outcome per handle, in order;
+/// a failed send reads as [`DeliverOutcome::CommFailure`].
+pub fn fan_out(
+    proxy: &mut AppVisorProxy,
+    handles: &[AppHandle],
+    event: &Event,
+    topology: &TopologyView,
+    devices: &DeviceView,
+) -> Vec<Result<DeliverOutcome, ProxyError>> {
+    let tags: Vec<_> = handles
+        .iter()
+        .map(|&h| proxy.queue_deliver(h, event, topology, devices, SimTime::ZERO))
+        .collect();
+    handles
+        .iter()
+        .zip(tags)
+        .map(|(&h, tag)| match tag? {
+            Some(seq) => proxy.collect_deliver(h, seq),
+            None => Ok(DeliverOutcome::CommFailure),
+        })
+        .collect()
+}
+
 /// Print a paper-style results table to stderr (the bench harness owns stdout).
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     eprintln!("\n=== {title} ===");

@@ -61,21 +61,24 @@ impl IsolationMode {
     }
 }
 
-/// How `dispatch_event` moves one event through the app roster.
+/// How events move through the app roster. The runtime has two engines
+/// (DESIGN.md §9): the sequential oracle and the windowed engine. The
+/// mode and the roster pick one; there is no other knob.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// One blocking Crash-Pad round-trip per app, in attach order — the
-    /// original monolithic loop. Simple and the reference for
-    /// determinism.
+    /// Always the sequential oracle: one blocking Crash-Pad round-trip
+    /// per app, in attach order — the original monolithic loop. Simple,
+    /// and the reference for determinism.
     Sequential,
-    /// Phased pipeline: checkpoint all selected apps up front, fan the
-    /// event out to isolated stubs concurrently (local sandboxes run
-    /// inline while the stubs work), gather outcomes and recover only
-    /// the failures, then commit each app's commands through NetLog in
-    /// attach order. Network state and transaction order are identical
-    /// to `Sequential`; wall time per event is bounded by the slowest
-    /// app instead of the sum. The default since the determinism sweep
-    /// proved it observationally identical to `Sequential`.
+    /// The windowed engine when the roster has an isolated stub or the
+    /// runtime has more than one worker: each event is queued to every
+    /// selected stub before any ack is collected, so stub processing
+    /// overlaps, and commits run through NetLog in (event, attach)
+    /// order. A Local-only, single-worker roster has nothing to overlap
+    /// and runs the sequential oracle instead. Network state and
+    /// transaction order are identical to `Sequential` either way. The
+    /// default since the determinism sweep proved it observationally
+    /// identical to `Sequential`.
     #[default]
     Pipelined,
 }
@@ -91,18 +94,21 @@ impl DispatchMode {
     }
 }
 
-/// Cross-event dispatch window for [`DispatchMode::Pipelined`]: up to
-/// `depth` translated events from one cycle are in flight to the isolated
-/// stubs at once. Each stub's RPC queue carries the deliveries (and any
-/// due checkpoint requests) in per-app event order, so an app never sees
-/// event *k+1* before it has answered *k*; gather and commit stay fully
-/// serialized in (event, attach) order, keeping network state, the NetLog
-/// txlog, and runtime counters bit-identical to `Sequential`.
+/// Cross-event window of the windowed engine: up to `depth` translated
+/// events are in flight to the isolated stubs at once. Each stub's RPC
+/// queue carries the deliveries (and any due checkpoint requests) in
+/// per-app event order, so an app never sees event *k+1* before it has
+/// answered *k*; gather and commit stay fully serialized in (event,
+/// attach) order, keeping network state, the NetLog txlog, and runtime
+/// counters bit-identical to `Sequential`. The depth only matters when
+/// the windowed engine runs — under [`DispatchMode::Pipelined`] with a
+/// stub in the roster or more than one worker; a Local-only,
+/// single-worker runtime ignores it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchWindow {
-    /// Events in flight at once. `1` (the default) is the single-event
-    /// pipeline; values above 1 overlap delivery of later events with
-    /// gather/commit of earlier ones.
+    /// Events in flight at once. `1` (the default) overlaps the stubs of
+    /// one event; values above 1 also overlap delivery of later events
+    /// with gather/commit of earlier ones.
     pub depth: usize,
 }
 
@@ -129,15 +135,16 @@ impl DispatchWindow {
 pub struct DispatchConfig {
     /// Strategy; see [`DispatchMode`].
     pub mode: DispatchMode,
-    /// Cross-event window for pipelined dispatch; ignored under
-    /// [`DispatchMode::Sequential`].
+    /// Cross-event window of the windowed engine; see
+    /// [`DispatchWindow`] for when it applies.
     pub window: DispatchWindow,
     /// Worker shards: apps are partitioned across `workers` shards by a
     /// load-aware balancer, each with its own AppVisor proxy, Crash-Pad,
     /// and window machinery (DESIGN.md §13, §15). `1` (the default) runs
-    /// the single-threaded engine; values above 1 take effect under
-    /// [`DispatchMode::Pipelined`] and commit through the cross-shard
-    /// barrier, bit-identical to the sequential reference.
+    /// on the runtime's own thread. Values above 1 take effect under
+    /// [`DispatchMode::Pipelined`], where they always select the windowed
+    /// engine — even for a Local-only roster — and commit through the
+    /// cross-shard barrier, bit-identical to the sequential reference.
     pub workers: usize,
     /// Cross-cycle windowing: one `run_cycle` call may consume follow-on
     /// events triggered by its own commits, up to `lookahead_cycles ×`

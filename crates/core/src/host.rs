@@ -18,8 +18,8 @@ pub enum Host {
 /// Classify a proxy delivery the way Crash-Pad expects: proxy-level
 /// errors (unknown handle, transport failure) count as communication
 /// failures — the paper's primary crash signal. Shared by the blocking
-/// [`ProxyAdapter::deliver`] path and the pipelined fan-out path so both
-/// dispatch modes see identical failure semantics.
+/// [`ProxyAdapter::deliver`] path and the windowed engine's collects so
+/// both engines see identical failure semantics.
 pub fn outcome_to_delivery(outcome: Result<DeliverOutcome, ProxyError>) -> DeliveryResult {
     match outcome {
         Ok(DeliverOutcome::Commands(cmds)) => DeliveryResult::Ok(cmds),

@@ -31,19 +31,19 @@
 use crate::config::{DispatchMode, IsolationMode, LegoSdnConfig, ResourceLimits};
 use crate::host::{Host, ProxyAdapter};
 use crate::workers::{
-    commit_outcome, delivery_label, select_app, AppRecord, CommitLane, ShardApp, ShardCtx,
-    ShardRouter, SlotStore, WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
+    commit_outcome, select_app, AppRecord, CommitLane, ShardApp, ShardCtx, ShardRouter, SlotStore,
+    WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
 };
-use legosdn_appvisor::{AppHandle, AppVisorProxy, TransportKind};
+use legosdn_appvisor::{AppVisorProxy, TransportKind};
 use legosdn_controller::app::SdnApp;
 use legosdn_controller::event::Event;
 use legosdn_controller::translate::EventTranslator;
-use legosdn_crashpad::{CrashPad, DeliveryResult, DispatchResult, LocalSandbox, RecoverableApp};
+use legosdn_crashpad::{CrashPad, LocalSandbox};
 use legosdn_invariants::Checker;
 use legosdn_netlog::{CommitBarrier, NetLog};
 use legosdn_obs::{Obs, TraceId};
 use legosdn_openflow::prelude::Message;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -131,6 +131,21 @@ macro_rules! shard_cx {
             obs: &$self.obs,
             checker: $self.checker.as_ref(),
             shutdown_on_no_compromise: $self.config.shutdown_network_on_no_compromise,
+        }
+    };
+}
+
+/// A [`BurstTranslator`] over `self`'s translation fields, splitting the
+/// borrow so the shards and the NetLog stay usable alongside it.
+macro_rules! translator_cx {
+    ($self:ident) => {
+        BurstTranslator {
+            cycle: $self.stats.cycles,
+            translator: &mut $self.translator,
+            stats: &mut $self.stats,
+            obs: &$self.obs,
+            trace_seen: &mut $self.trace_seen,
+            trace_sample: $self.config.obs.trace_sample,
         }
     };
 }
@@ -226,29 +241,6 @@ impl LegoSdnRuntime {
             cost_prev: HashMap::new(),
             config,
         }
-    }
-
-    /// Sampling gate for the flight recorder: begin a trace for this
-    /// event if it is the `trace_sample`th since the last traced one.
-    /// Returns the id for scope switching (`None`: not sampled).
-    /// Recorder scopes are per-thread, so sampling works at any worker
-    /// count — each worker tags its own slice of the window with the
-    /// event's trace id.
-    fn trace_for_event(&mut self, event: &Event) -> Option<TraceId> {
-        let sample = self.config.obs.trace_sample;
-        if sample == 0 {
-            return None;
-        }
-        self.trace_seen += 1;
-        if !(self.trace_seen - 1).is_multiple_of(sample) {
-            return None;
-        }
-        let id = TraceId {
-            cycle: self.stats.cycles,
-            seq: self.trace_seen,
-        };
-        self.obs.trace_begin(id, &format!("{:?}", event.kind()));
-        Some(id)
     }
 
     /// Build a push frame of this runtime's observability state for
@@ -432,15 +424,30 @@ impl LegoSdnRuntime {
         false
     }
 
+    /// Whether dispatch runs on the windowed engine: pipelined mode with
+    /// a stub to overlap or more than one shard to run. A Local-only,
+    /// single-worker roster has nothing to overlap, so it takes the
+    /// sequential oracle loop whatever the window depth (DESIGN.md §9).
+    fn windowed(&self) -> bool {
+        self.config.dispatch.mode == DispatchMode::Pipelined
+            && (self.shards.len() > 1
+                || self
+                    .shards
+                    .iter()
+                    .flat_map(|s| &s.apps)
+                    .any(|a| matches!(a.rec.host, Host::Isolated(_))))
+    }
+
     /// Drain network events, translate, and dispatch under full protection.
     ///
-    /// Under [`DispatchMode::Pipelined`] with a window depth above 1 — or
-    /// more than one worker shard — the whole burst is translated up
-    /// front and dispatched through the cross-event window scheduler
-    /// (per-worker under shards); otherwise each raw event's translations
-    /// dispatch before the next raw is translated (the original loop).
-    /// [`DispatchMode::Sequential`] always runs the single-threaded
-    /// reference, whatever the worker count.
+    /// The raws queued when the cycle starts are the burst; with
+    /// `lookahead_cycles > 1` the pure follow-on raws this cycle's own
+    /// commits enqueue join it (DESIGN.md §15). Under
+    /// [`DispatchMode::Pipelined`] the windowed engine dispatches them
+    /// when the roster has a stub or the runtime has more than one
+    /// shard; otherwise — and always under [`DispatchMode::Sequential`]
+    /// — each raw's events dispatch before the next raw is translated
+    /// (the sequential oracle).
     pub fn run_cycle(&mut self, net: &mut Network) -> LegoCycleReport {
         let _span = self.obs.span("core.run_cycle");
         let started = Instant::now();
@@ -449,91 +456,22 @@ impl LegoSdnRuntime {
         self.rebalance_shards();
         self.stats.cycles += 1;
         let mut report = LegoCycleReport::default();
-        let lookahead = self.config.dispatch.lookahead_cycles.max(1);
-        let windowed = self.config.dispatch.mode == DispatchMode::Pipelined
-            && (self.config.dispatch.window.depth > 1 || self.shards.len() > 1);
-        if windowed {
-            let slots = self.translate_burst(net, &mut report);
-            self.dispatch_windowed(net, slots, lookahead, &mut report);
+        let mut feed = RawFeed::new(net.poll_events(), self.config.dispatch.lookahead_cycles);
+        if self.windowed() {
+            self.dispatch_windowed(net, &mut feed, Vec::new(), &mut report);
         } else {
             let tx_cycle_base = self.txid_cursor;
-            let n_apps = self.router.len() as u64;
-            for raw in net.poll_events() {
-                let events = self.translator.process(net, raw);
-                self.stats.events_translated += events.len() as u64;
-                self.obs
-                    .counter("core", "events_translated", "")
-                    .add(events.len() as u64);
-                for ev in events {
-                    let ordinal = report.events as u64;
-                    report.events += 1;
-                    let trace = self.trace_for_event(&ev);
-                    self.obs.trace_scope(trace);
-                    let tx_event_base = tx_cycle_base + ordinal * n_apps * TXS_PER_POS;
-                    self.dispatch_event(net, &ev, &mut report, tx_event_base);
-                    self.obs.trace_scope(None);
-                }
-            }
-            // Cross-cycle windowing on the per-event path (DESIGN.md
-            // §15): keep dispatching the follow-on events this cycle's
-            // commits triggered, up to `lookahead_cycles` bursts'
-            // worth, for as long as their translation is pure. The cap
-            // is checked before each raw pop, so one raw translating
-            // to several events may overshoot it — exactly like the
-            // windowed scheduler, which keeps the two paths
-            // bit-identical at matching lookahead.
-            let cap = report.events.saturating_mul(lookahead);
-            while report.events < cap {
-                let Some(raw) = net.peek_event() else { break };
-                if !extendable(raw) {
-                    break;
-                }
-                let raw = net.pop_event().expect("peeked above");
-                let events = self.translator.process(net, raw);
-                self.stats.events_translated += events.len() as u64;
-                self.obs
-                    .counter("core", "events_translated", "")
-                    .add(events.len() as u64);
-                for ev in events {
-                    let ordinal = report.events as u64;
-                    report.events += 1;
-                    let trace = self.trace_for_event(&ev);
-                    self.obs.trace_scope(trace);
-                    let tx_event_base = tx_cycle_base + ordinal * n_apps * TXS_PER_POS;
-                    self.dispatch_event(net, &ev, &mut report, tx_event_base);
-                    self.obs.trace_scope(None);
+            // Every earlier event has committed by the time the oracle
+            // asks for the next raw, so impure raws translate in place.
+            while let Some(raw) = feed.next(net, report.events, true) {
+                for (ev, trace) in translator_cx!(self).translate(net, raw) {
+                    self.dispatch_sequential(net, &ev, trace, &mut report, tx_cycle_base);
                 }
             }
         }
         self.txid_cursor += report.events as u64 * self.router.len() as u64 * TXS_PER_POS;
         report.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         report
-    }
-
-    /// Translate the cycle's entire raw-event burst up front, snapshotting
-    /// the translator's views per event so each delivery sees exactly the
-    /// views sequential dispatch would have handed it. `Network::now()`
-    /// only advances via an explicit `advance()`, so the captured `now` is
-    /// constant across the cycle either way.
-    fn translate_burst(
-        &mut self,
-        net: &mut Network,
-        report: &mut LegoCycleReport,
-    ) -> Vec<WindowSlot> {
-        let cycle = self.stats.cycles;
-        let mut bt = BurstTranslator {
-            translator: &mut self.translator,
-            stats: &mut self.stats,
-            obs: &self.obs,
-            trace_seen: &mut self.trace_seen,
-            trace_sample: self.config.obs.trace_sample,
-            cycle,
-        };
-        let mut slots = Vec::new();
-        for raw in net.poll_events() {
-            report.events += bt.translate_raw(net, raw, &mut slots);
-        }
-        slots
     }
 
     /// Integrate the newest `dispatch_app_ns` observations into the
@@ -679,252 +617,58 @@ impl LegoSdnRuntime {
         self.obs.counter("core", "rebalance_count", "").inc();
     }
 
-    /// Deliver a Tick to subscribed apps.
+    /// Deliver a Tick to subscribed apps, on the same engine
+    /// [`LegoSdnRuntime::run_cycle`] would pick: a one-slot window with
+    /// no lookahead, or the oracle loop.
     pub fn tick_apps(&mut self, net: &mut Network) -> LegoCycleReport {
         let _span = self.obs.span("core.tick_apps");
         let started = Instant::now();
         self.stats.cycles += 1;
         let mut report = LegoCycleReport::default();
         let ev = Event::Tick(net.now());
-        report.events += 1;
-        let trace = self.trace_for_event(&ev);
-        self.obs.trace_scope(trace);
-        let tx_event_base = self.txid_cursor;
-        self.dispatch_event(net, &ev, &mut report, tx_event_base);
-        self.obs.trace_scope(None);
+        let trace = translator_cx!(self).trace_for_event(&ev);
+        if self.windowed() {
+            let slot = WindowSlot {
+                event: ev,
+                topology: self.translator.topology.clone(),
+                devices: self.translator.devices.clone(),
+                now: net.now(),
+                trace,
+            };
+            let mut feed = RawFeed::new(Vec::new(), 1);
+            self.dispatch_windowed(net, &mut feed, vec![slot], &mut report);
+        } else {
+            let tx_cycle_base = self.txid_cursor;
+            self.dispatch_sequential(net, &ev, trace, &mut report, tx_cycle_base);
+        }
         self.txid_cursor += self.router.len() as u64 * TXS_PER_POS;
         report.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         report
     }
 
-    fn dispatch_event(
-        &mut self,
-        net: &mut Network,
-        event: &Event,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
-        match self.config.dispatch.mode {
-            DispatchMode::Sequential => self.dispatch_sequential(net, event, report, tx_event_base),
-            DispatchMode::Pipelined => self.dispatch_pipelined(net, event, report, tx_event_base),
-        }
-    }
-
-    /// Commit one app's outcome on the per-event (non-windowed) path:
-    /// live translator views, position-derived transaction ids, sticky
-    /// notify-flag bookkeeping.
-    fn commit_on_lane(
-        &mut self,
-        net: &mut Network,
-        global: usize,
-        event: &Event,
-        result: DispatchResult,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
-        let (w, l) = self.router.loc(global);
-        let mut lane = CommitLane {
-            net,
-            netlog: &mut self.netlog,
-            notify_seen: false,
-        };
-        let mut cx = shard_cx!(self, w);
-        commit_outcome(
-            &mut cx,
-            &mut lane,
-            l,
-            event,
-            result,
-            report,
-            (&self.translator.topology, &self.translator.devices),
-            tx_event_base + global as u64 * TXS_PER_POS,
-        );
-        let notify = lane.notify_seen;
-        self.notify_flows_seen |= notify;
-    }
-
-    /// The original monolithic loop: one blocking Crash-Pad round-trip
-    /// per app, in attach order.
+    /// The sequential oracle for one event: one blocking Crash-Pad
+    /// round-trip per selected app, in attach order, each committed
+    /// before the next app runs. The event takes the next cycle ordinal.
     fn dispatch_sequential(
         &mut self,
         net: &mut Network,
         event: &Event,
+        trace: Option<TraceId>,
         report: &mut LegoCycleReport,
-        tx_event_base: u64,
+        tx_cycle_base: u64,
     ) {
+        let n_apps = self.router.len() as u64;
+        let tx_event_base = tx_cycle_base + report.events as u64 * n_apps * TXS_PER_POS;
+        report.events += 1;
+        self.obs.trace_scope(trace);
         let kind = event.kind();
         for global in 0..self.router.len() {
             let (w, l) = self.router.loc(global);
-            if !select_app(&mut shard_cx!(self, w), l, kind) {
-                continue;
-            }
-            self.dispatch_to_app(net, global, event, report, tx_event_base);
-        }
-    }
-
-    /// Phased pipeline over the same roster (see [`DispatchMode`]):
-    ///
-    /// - **prepare**: select apps, checkpoint each if due;
-    /// - **deliver**: fan the event out to isolated stubs per shard (they
-    ///   process on their own threads), run local sandboxes inline
-    ///   meanwhile;
-    /// - **gather**: classify each outcome through Crash-Pad in attach
-    ///   order — restore/replay/transform runs only for failed apps;
-    /// - **commit**: NetLog transactions + byzantine gate per app, in
-    ///   attach order.
-    ///
-    /// Deliveries read only the translator's views and per-app state, so
-    /// overlapping them cannot be observed by the apps; everything that
-    /// touches the network — commits, byzantine recovery, No-Compromise
-    /// shutdown — stays serialized in attach order. Network state and
-    /// NetLog transaction order are therefore identical to
-    /// [`DispatchMode::Sequential`] (the determinism integration test
-    /// holds both modes to that).
-    fn dispatch_pipelined(
-        &mut self,
-        net: &mut Network,
-        event: &Event,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
-        let kind = event.kind();
-        let now = net.now();
-        self.obs
-            .counter("core", "pipelined_dispatch_rounds", "")
-            .inc();
-
-        // Phase A — prepare: selection, then up-front checkpoints.
-        let selected: Vec<usize> = {
-            let _span = self.obs.span("core.dispatch_prepare");
-            let selected: Vec<usize> = (0..self.router.len())
-                .filter(|&g| {
-                    let (w, l) = self.router.loc(g);
-                    select_app(&mut shard_cx!(self, w), l, kind)
-                })
-                .collect();
-            for &g in &selected {
-                let (w, l) = self.router.loc(g);
-                let shard = &mut self.shards[w];
-                let name = shard.apps[l].rec.name.clone();
-                match &mut shard.apps[l].rec.host {
-                    Host::Local(sandbox) => shard.crashpad.prepare(sandbox, &name),
-                    Host::Isolated(handle) => {
-                        let mut adapter = ProxyAdapter {
-                            proxy: &mut shard.proxy,
-                            handle: *handle,
-                        };
-                        shard.crashpad.prepare(&mut adapter, &name);
-                    }
-                }
-            }
-            selected
-        };
-
-        // Phase B — deliver: each shard's stubs get their frames first so
-        // they start processing; local sandboxes run inline while the
-        // stubs work; then collect the stub outcomes.
-        let mut deliveries: Vec<Option<DeliveryResult>> =
-            (0..selected.len()).map(|_| None).collect();
-        {
-            let _span = self.obs.span("core.dispatch_deliver");
-            let mut stub_slots: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-            let mut stub_handles: Vec<Vec<AppHandle>> = vec![Vec::new(); self.shards.len()];
-            for (pos, &g) in selected.iter().enumerate() {
-                let (w, l) = self.router.loc(g);
-                if let Host::Isolated(h) = &self.shards[w].apps[l].rec.host {
-                    stub_slots[w].push(pos);
-                    stub_handles[w].push(*h);
-                }
-            }
-            let tickets: Vec<_> = (0..self.shards.len())
-                .map(|w| {
-                    (!stub_handles[w].is_empty()).then(|| {
-                        self.shards[w].proxy.fanout_send(
-                            &stub_handles[w],
-                            event,
-                            &self.translator.topology,
-                            &self.translator.devices,
-                            now,
-                        )
-                    })
-                })
-                .collect();
-            for (pos, &g) in selected.iter().enumerate() {
-                let (w, l) = self.router.loc(g);
-                let name = self.shards[w].apps[l].rec.name.clone();
-                if let Host::Local(sandbox) = &mut self.shards[w].apps[l].rec.host {
-                    self.obs.trace_event("send", &name, "local");
-                    let delivery = sandbox.deliver(
-                        event,
-                        &self.translator.topology,
-                        &self.translator.devices,
-                        now,
-                    );
-                    self.obs
-                        .trace_event("collect", &name, delivery_label(&delivery));
-                    deliveries[pos] = Some(delivery);
-                }
-            }
-            for (w, ticket) in tickets.into_iter().enumerate() {
-                if let Some(ticket) = ticket {
-                    for (&pos, d) in stub_slots[w]
-                        .iter()
-                        .zip(self.shards[w].proxy.fanout_collect(ticket))
-                    {
-                        deliveries[pos] = Some(outcome_to_delivery_outcome(d));
-                    }
-                }
+            if select_app(&mut shard_cx!(self, w), l, kind) {
+                self.dispatch_to_app(net, global, event, report, tx_event_base);
             }
         }
-
-        // Phase C — gather: Crash-Pad bookkeeping per app in attach
-        // order; restore + policy transform/replay only for failures.
-        let outcomes: Vec<DispatchResult> = {
-            let _span = self.obs.span("core.dispatch_gather");
-            selected
-                .iter()
-                .zip(deliveries)
-                .map(|(&g, delivery)| {
-                    let delivery = delivery.expect("every selected app was delivered");
-                    let (w, l) = self.router.loc(g);
-                    let shard = &mut self.shards[w];
-                    let name = shard.apps[l].rec.name.clone();
-                    match &mut shard.apps[l].rec.host {
-                        Host::Local(sandbox) => shard.crashpad.complete(
-                            sandbox,
-                            &name,
-                            event,
-                            delivery,
-                            &self.translator.topology,
-                            &self.translator.devices,
-                            now,
-                        ),
-                        Host::Isolated(handle) => {
-                            let mut adapter = ProxyAdapter {
-                                proxy: &mut shard.proxy,
-                                handle: *handle,
-                            };
-                            shard.crashpad.complete(
-                                &mut adapter,
-                                &name,
-                                event,
-                                delivery,
-                                &self.translator.topology,
-                                &self.translator.devices,
-                                now,
-                            )
-                        }
-                    }
-                })
-                .collect()
-        };
-
-        // Phase D — commit: network effects in attach order, exactly as
-        // sequential dispatch would issue them.
-        let _span = self.obs.span("core.dispatch_commit");
-        for (&g, result) in selected.iter().zip(outcomes) {
-            self.commit_on_lane(net, g, event, result, report, tx_event_base);
-        }
+        self.obs.trace_scope(None);
     }
 
     /// Cross-event window scheduler (DESIGN.md §10, sharded per §13,
@@ -936,26 +680,19 @@ impl LegoSdnRuntime {
     /// fastpath — so network state, the txlog, and runtime counters stay
     /// bit-identical to the sequential reference.
     ///
-    /// With `lookahead_cycles > 1` the window grows past the initial
-    /// burst while commits are still in flight: the runtime pops
-    /// follow-on events off the net queue as soon as their translation
-    /// is pure (cannot observe mid-window state out of order), appends
-    /// them to the shared [`SlotStore`], and the workers' send cursors
-    /// run ahead across what used to be a cycle boundary.
+    /// `seed` slots start the window; `feed` grows it while commits are
+    /// in flight. A pure raw translates as soon as it is fed; an impure
+    /// one (see [`extendable`]) only once every earlier slot has
+    /// committed, because its translation reads the network those
+    /// commits write.
     fn dispatch_windowed(
         &mut self,
         net: &mut Network,
-        slots: Vec<WindowSlot>,
-        lookahead: usize,
+        feed: &mut RawFeed,
+        seed: Vec<WindowSlot>,
         report: &mut LegoCycleReport,
     ) {
-        if slots.is_empty() {
-            return;
-        }
         let depth = self.config.dispatch.window.depth.max(1);
-        self.obs
-            .gauge("core", "window_depth", "")
-            .set(i64::try_from(depth).unwrap_or(i64::MAX));
         let n_apps = self.router.len();
         let sharded = self.shards.len() > 1;
         // The fastpath needs commit-time effects to be exactly the
@@ -969,30 +706,32 @@ impl LegoSdnRuntime {
         let checker = self.checker.as_ref();
         let shutdown_on_no_compromise = self.config.shutdown_network_on_no_compromise;
         let obs = self.obs.clone();
-        // Event cap of the lookahead window: checked before each raw
-        // pop, so one raw translating to several events may overshoot.
-        let cap = slots.len().saturating_mul(lookahead);
-        let store = SlotStore::new(slots);
-        let can_extend = cap > store.len();
-        let cycle = self.stats.cycles;
-        let mut bt = BurstTranslator {
-            translator: &mut self.translator,
-            stats: &mut self.stats,
-            obs: &self.obs,
-            trace_seen: &mut self.trace_seen,
-            trace_sample: self.config.obs.trace_sample,
-            cycle,
-        };
+        report.events += seed.len();
+        let store = SlotStore::new(seed);
+        let mut bt = translator_cx!(self);
         let lane = Mutex::new(CommitLane {
             net,
             netlog: &mut self.netlog,
             notify_seen: false,
         });
-        let mut deltas: Vec<(RuntimeStats, LegoCycleReport)> =
-            Vec::with_capacity(self.shards.len());
-        if !sharded {
-            let mut run = WorkerRun {
-                shard: &mut self.shards[0],
+        // Nothing is in flight yet, so the first fill may translate an
+        // impure raw.
+        fill_window(&mut bt, feed, &lane, &store, store.len(), report);
+        if store.len() == 0 {
+            return;
+        }
+        self.obs
+            .gauge("core", "window_depth", "")
+            .set(i64::try_from(depth).unwrap_or(i64::MAX));
+        let worker_run = |shard, sharded| {
+            let shard: &mut WorkerShard = shard;
+            WorkerRun {
+                wl: if sharded {
+                    format!("w{}", shard.id)
+                } else {
+                    String::new()
+                },
+                shard,
                 store: &store,
                 barrier: &barrier,
                 lane: &lane,
@@ -1002,30 +741,33 @@ impl LegoSdnRuntime {
                 depth,
                 n_apps,
                 tx_cycle_base,
-                sharded: false,
-                wait_more: false,
-                wl: String::new(),
+                sharded,
                 stats: RuntimeStats::default(),
                 report: LegoCycleReport::default(),
                 pending: Vec::new(),
                 inflight: Vec::new(),
                 next_send: 0,
                 commit_pos: 0,
-            };
-            // Drain/extend alternation: each run() commits every slot
-            // the store holds; each extension appends the follow-on
-            // events those commits triggered.
+            }
+        };
+        let mut deltas: Vec<(RuntimeStats, LegoCycleReport)> =
+            Vec::with_capacity(self.shards.len());
+        if !sharded {
+            let mut run = worker_run(&mut self.shards[0], false);
+            // Drain/fill alternation: each run() commits every slot the
+            // store holds, so each fill may translate impure raws too.
             loop {
                 run.run();
-                if !can_extend || extend_window(&mut bt, &lane, &store, cap, report) == 0 {
+                if fill_window(&mut bt, feed, &lane, &store, store.len(), report) == 0 {
                     break;
                 }
             }
             deltas.push((run.stats, run.report));
         } else {
-            if !can_extend {
+            let fillable = !feed.exhausted(report.events);
+            if !fillable {
                 // The window can never grow: close up front so workers
-                // drain the burst and exit without parking.
+                // drain it and exit without parking.
                 store.close();
             }
             std::thread::scope(|scope| {
@@ -1033,56 +775,36 @@ impl LegoSdnRuntime {
                     .shards
                     .iter_mut()
                     .map(|shard| {
-                        let worker = shard.id;
-                        let obs = obs.clone();
-                        let barrier = &barrier;
-                        let lane = &lane;
-                        let store = &store;
+                        let worker_run = &worker_run;
                         std::thread::Builder::new()
-                            .name(format!("lego-worker-{worker}"))
+                            .name(format!("lego-worker-{}", shard.id))
                             .spawn_scoped(scope, move || {
-                                let mut run = WorkerRun {
-                                    shard,
-                                    store,
-                                    barrier,
-                                    lane,
-                                    obs,
-                                    checker,
-                                    shutdown_on_no_compromise,
-                                    depth,
-                                    n_apps,
-                                    tx_cycle_base,
-                                    sharded: true,
-                                    wait_more: true,
-                                    wl: format!("w{worker}"),
-                                    stats: RuntimeStats::default(),
-                                    report: LegoCycleReport::default(),
-                                    pending: Vec::new(),
-                                    inflight: Vec::new(),
-                                    next_send: 0,
-                                    commit_pos: 0,
-                                };
+                                let mut run = worker_run(shard, true);
                                 run.run();
                                 (run.stats, run.report)
                             })
                             .expect("spawn worker thread")
                     })
                     .collect();
-                if can_extend {
-                    // Extension loop. The commit cursor is read BEFORE
-                    // each drain attempt, so a commit landing between
-                    // the drain and the wait advances the cursor past
-                    // the snapshot and `wait_cursor_past` returns
+                if fillable {
+                    // Fill loop. The commit cursor is read BEFORE each
+                    // fill attempt, so a commit landing between the
+                    // fill and the wait advances the cursor past the
+                    // snapshot and `wait_cursor_past` returns
                     // immediately — the close can never be missed.
                     // Deadlock-free: workers take the barrier before
                     // the lane, and this thread never holds the lane
                     // while waiting on the barrier.
                     loop {
                         let cursor = barrier.cursor();
-                        if extend_window(&mut bt, &lane, &store, cap, report) > 0 {
+                        let settled = match n_apps {
+                            0 => store.len(),
+                            n => usize::try_from(cursor).unwrap_or(usize::MAX) / n,
+                        };
+                        if fill_window(&mut bt, feed, &lane, &store, settled, report) > 0 {
                             continue;
                         }
-                        if cursor >= (store.len() * n_apps) as u64 {
+                        if settled >= store.len() {
                             break;
                         }
                         barrier.wait_cursor_past(cursor);
@@ -1117,6 +839,8 @@ impl LegoSdnRuntime {
             .add(bs.shared_switch_conflicts);
     }
 
+    /// One oracle dispatch: Crash-Pad protected delivery, then the
+    /// commit against the live translator views.
     fn dispatch_to_app(
         &mut self,
         net: &mut Network,
@@ -1127,7 +851,6 @@ impl LegoSdnRuntime {
     ) {
         let now = net.now();
         let (w, l) = self.router.loc(global);
-        // Crash-Pad protected delivery.
         let result = {
             let shard = &mut self.shards[w];
             let name = shard.apps[l].rec.name.clone();
@@ -1156,7 +879,22 @@ impl LegoSdnRuntime {
                 }
             }
         };
-        self.commit_on_lane(net, global, event, result, report, tx_event_base);
+        let mut lane = CommitLane {
+            net,
+            netlog: &mut self.netlog,
+            notify_seen: false,
+        };
+        commit_outcome(
+            &mut shard_cx!(self, w),
+            &mut lane,
+            l,
+            event,
+            result,
+            report,
+            (&self.translator.topology, &self.translator.devices),
+            tx_event_base + global as u64 * TXS_PER_POS,
+        );
+        self.notify_flows_seen |= lane.notify_seen;
     }
 
     /// §5 STS-guided diagnosis: find the checkpoint and minimal causal
@@ -1242,19 +980,14 @@ impl LegoSdnRuntime {
 
 use legosdn_netsim::{NetEvent, Network};
 
-/// Adapter shim: the pipelined path collects
-/// [`legosdn_appvisor::FanoutDelivery`] values whose `outcome` field is
-/// what [`crate::host::outcome_to_delivery`] converts.
-fn outcome_to_delivery_outcome(d: legosdn_appvisor::FanoutDelivery) -> DeliveryResult {
-    crate::host::outcome_to_delivery(d.outcome)
-}
-
 /// Whether a raw event's translation is *pure* — reads nothing but the
-/// translator's own views, so translating it mid-window is identical to
-/// translating it after the window drains. `PortStatus` probes ports
-/// and drains the net queue; `SwitchConnected` handshakes (feature
-/// replies, port probes). Either one ends the extension prefix; the
-/// remaining raws wait for the next cycle.
+/// translator's own views, so translating it while earlier events are
+/// still in flight is identical to translating it after they commit.
+/// `PortStatus` probes ports and drains the net queue; `SwitchConnected`
+/// handshakes (feature replies, port probes). Both read and write the
+/// network the in-flight commits write, so the windowed engine
+/// translates either one only once every earlier slot has committed,
+/// and the lookahead extension stops at either one.
 fn extendable(raw: &NetEvent) -> bool {
     match raw {
         NetEvent::FromSwitch(_, msg) => !matches!(msg, Message::PortStatus(_)),
@@ -1263,9 +996,59 @@ fn extendable(raw: &NetEvent) -> bool {
     }
 }
 
-/// The windowed translation engine, split off the runtime so the main
-/// thread can translate (fields: translator, stats, trace cursor) while
-/// the worker shards are mutably borrowed by the dispatch threads.
+/// The raws one dispatch call may translate: the burst queued when the
+/// cycle started, then — up to `lookahead` bursts' worth of events — the
+/// pure prefix of what the cycle's own commits enqueue. Both engines
+/// draw from it, so they consume the same raws at matching lookahead.
+struct RawFeed {
+    burst: VecDeque<NetEvent>,
+    lookahead: usize,
+    /// Event cap of the lookahead extension, fixed when the burst runs
+    /// out. Checked before each raw pop, so one raw translating to
+    /// several events may overshoot it.
+    cap: Option<usize>,
+}
+
+impl RawFeed {
+    fn new(burst: Vec<NetEvent>, lookahead: usize) -> Self {
+        RawFeed {
+            burst: burst.into(),
+            lookahead: lookahead.max(1),
+            cap: None,
+        }
+    }
+
+    /// The next raw to translate, or `None` when nothing may be
+    /// translated now. `translated` counts the call's events so far;
+    /// `settled` says every one of them has committed. Event-producing
+    /// commits are always barrier-Ordered, so the net queue grows in
+    /// commit-position order and popping its pure prefix incrementally
+    /// yields exactly what a post-drain batch pop would.
+    fn next(&mut self, net: &mut Network, translated: usize, settled: bool) -> Option<NetEvent> {
+        if let Some(raw) = self.burst.front() {
+            if !settled && !extendable(raw) {
+                return None;
+            }
+            return self.burst.pop_front();
+        }
+        let cap = *self
+            .cap
+            .get_or_insert(translated.saturating_mul(self.lookahead));
+        if translated >= cap || !net.peek_event().is_some_and(extendable) {
+            return None;
+        }
+        net.pop_event()
+    }
+
+    /// Whether the feed can never yield another raw.
+    fn exhausted(&self, translated: usize) -> bool {
+        self.burst.is_empty() && self.cap.is_some_and(|cap| translated >= cap)
+    }
+}
+
+/// The translation half of the runtime, split off so the main thread can
+/// translate (fields: translator, stats, trace cursor) while the worker
+/// shards are mutably borrowed by the dispatch threads.
 struct BurstTranslator<'a> {
     translator: &'a mut EventTranslator,
     stats: &'a mut RuntimeStats,
@@ -1276,8 +1059,12 @@ struct BurstTranslator<'a> {
 }
 
 impl BurstTranslator<'_> {
-    /// The same sampling gate as `LegoSdnRuntime::trace_for_event`,
-    /// over the borrowed trace cursor.
+    /// Sampling gate for the flight recorder: begin a trace for this
+    /// event if it is the `trace_sample`th since the last traced one.
+    /// Returns the id for scope switching (`None`: not sampled).
+    /// Recorder scopes are per-thread, so sampling works at any worker
+    /// count — each worker tags its own slice of the window with the
+    /// event's trace id.
     fn trace_for_event(&mut self, event: &Event) -> Option<TraceId> {
         if self.trace_sample == 0 {
             return None;
@@ -1294,65 +1081,57 @@ impl BurstTranslator<'_> {
         Some(id)
     }
 
-    /// Translate one raw event into window slots (with the translator's
-    /// views snapshotted per event) and return how many events it
-    /// yielded.
-    fn translate_raw(
-        &mut self,
-        net: &mut Network,
-        raw: NetEvent,
-        out: &mut Vec<WindowSlot>,
-    ) -> usize {
+    /// Translate one raw event, counting its events and sampling a trace
+    /// for each.
+    fn translate(&mut self, net: &mut Network, raw: NetEvent) -> Vec<(Event, Option<TraceId>)> {
         let events = self.translator.process(net, raw);
-        let n = events.len();
-        self.stats.events_translated += n as u64;
+        self.stats.events_translated += events.len() as u64;
         self.obs
             .counter("core", "events_translated", "")
-            .add(n as u64);
-        for ev in events {
-            let trace = self.trace_for_event(&ev);
-            out.push(WindowSlot {
-                event: ev,
-                topology: self.translator.topology.clone(),
-                devices: self.translator.devices.clone(),
-                now: net.now(),
-                trace,
-            });
-        }
-        n
+            .add(events.len() as u64);
+        events
+            .into_iter()
+            .map(|ev| {
+                let trace = self.trace_for_event(&ev);
+                (ev, trace)
+            })
+            .collect()
     }
 }
 
-/// Grow the window: pop the pure prefix of the net queue (under a brief
-/// lane lock — commits and translation serialize on the same network),
-/// translate it, and append the slots to the store. Returns how many
-/// slots were appended; 0 means the queue head is non-extendable,
-/// empty, or the lookahead cap is reached. Event-producing commits are
-/// always barrier-Ordered, so the queue grows in strict commit-position
-/// order and this incremental prefix-popping yields exactly the
-/// sequence a post-drain batch pop would.
-fn extend_window(
+/// Grow the window: pop raws off `feed` (under a brief lane lock —
+/// commits and translation serialize on the same network), translate
+/// them with the translator's views snapshotted per event, and append
+/// the slots to the store. `settled` is how many leading slots have
+/// committed. Returns how many slots were appended; 0 means the feed
+/// has nothing it may translate now.
+fn fill_window(
     bt: &mut BurstTranslator<'_>,
+    feed: &mut RawFeed,
     lane: &Mutex<CommitLane<'_>>,
     store: &SlotStore,
-    cap: usize,
+    settled: usize,
     report: &mut LegoCycleReport,
 ) -> usize {
     let mut appended = 0;
     loop {
-        if report.events >= cap {
-            return appended;
-        }
         let mut out = Vec::new();
         {
             let mut guard = lane.lock().expect("commit lane poisoned");
             let net: &mut Network = guard.net;
-            match net.peek_event() {
-                Some(raw) if extendable(raw) => {}
-                _ => return appended,
+            let all_settled = store.len() <= settled;
+            let Some(raw) = feed.next(net, report.events, all_settled) else {
+                return appended;
+            };
+            for (event, trace) in bt.translate(net, raw) {
+                out.push(WindowSlot {
+                    event,
+                    topology: bt.translator.topology.clone(),
+                    devices: bt.translator.devices.clone(),
+                    now: net.now(),
+                    trace,
+                });
             }
-            let raw = net.pop_event().expect("peeked above");
-            bt.translate_raw(net, raw, &mut out);
         }
         for slot in out {
             report.events += 1;
@@ -1467,14 +1246,12 @@ mod tests {
         assert!(!rt.is_crashed());
         // Healthy neighbor still produced network output.
         assert!(report.commands > 0, "{report:?}");
-        // Per-phase instrumentation landed.
-        assert!(obs.counter("core", "pipelined_dispatch_rounds", "").get() > 0);
-        for phase in [
-            "dispatch_prepare",
-            "dispatch_deliver",
-            "dispatch_gather",
-            "dispatch_commit",
-        ] {
+        // Per-phase instrumentation landed: the default pipelined
+        // dispatch is a depth-1 window, so each event is one fill and
+        // one commit.
+        assert_eq!(obs.gauge("core", "window_depth", "").get(), 1);
+        assert!(obs.histogram("core", "window_queue_ns", "").count() > 0);
+        for phase in ["window_fill", "window_commit"] {
             assert!(
                 obs.histogram("core", phase, "").count() > 0,
                 "missing span histogram for {phase}"
@@ -1485,59 +1262,91 @@ mod tests {
 
     #[test]
     fn windowed_dispatch_contains_crashes_and_records_window_metrics() {
+        for depth in [1usize, 4] {
+            let (mut net, topo) = net2();
+            let obs = Obs::new();
+            let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+                isolation: IsolationMode::Channel,
+                dispatch: DispatchConfig::pipelined().window(depth),
+                obs: ObsConfig::instance(obs.clone()),
+                ..LegoSdnConfig::default()
+            });
+            let poison = topo.hosts[1].mac;
+            rt.attach(Box::new(FaultyApp::new(
+                Box::new(Hub::new()),
+                BugTrigger::OnPacketToMac(poison),
+                BugEffect::Crash,
+            )))
+            .unwrap();
+            rt.attach(Box::new(LearningSwitch::new())).unwrap();
+            rt.run_cycle(&mut net);
+            // A burst of four packet-ins in one cycle, with the poison in
+            // the middle: slots after the crash must be cancelled, the
+            // app restored, and the tail re-sent from the recovered
+            // state.
+            let a = topo.hosts[0].mac;
+            net.inject(a, Packet::ethernet(a, MacAddr::from_index(7)))
+                .unwrap();
+            net.inject(a, Packet::ethernet(a, poison)).unwrap();
+            net.inject(a, Packet::ethernet(a, MacAddr::from_index(8)))
+                .unwrap();
+            net.inject(a, Packet::ethernet(a, MacAddr::from_index(9)))
+                .unwrap();
+            let report = rt.run_cycle(&mut net);
+            assert!(report.events >= 4, "depth {depth}: {report:?}");
+            assert!(report.recoveries >= 1, "depth {depth}: {report:?}");
+            assert!(!rt.is_crashed());
+            // Healthy neighbor still produced network output for the
+            // burst.
+            assert!(report.commands > 0, "depth {depth}: {report:?}");
+            // Both apps saw every event exactly once (crashed deliveries
+            // are replay-recovered, cancelled ones re-sent): the dispatch
+            // count must equal what sequential dispatch would record.
+            assert_eq!(rt.stats().dispatches, 2 * report.events as u64);
+            // Window instrumentation landed.
+            assert_eq!(
+                obs.gauge("core", "window_depth", "").get(),
+                i64::try_from(depth).unwrap()
+            );
+            assert!(obs.histogram("core", "window_queue_ns", "").count() >= 4);
+            for phase in ["window_fill", "window_commit"] {
+                assert!(
+                    obs.histogram("core", phase, "").count() > 0,
+                    "depth {depth}: missing span histogram for {phase}"
+                );
+            }
+            // The system keeps processing later events after the window
+            // drains.
+            net.inject(a, Packet::ethernet(a, MacAddr::from_index(10)))
+                .unwrap();
+            let report = rt.run_cycle(&mut net);
+            assert!(report.events > 0);
+            rt.shutdown();
+        }
+    }
+
+    #[test]
+    fn local_single_worker_roster_takes_the_oracle_loop() {
+        // No stub to overlap and no shard to run: a pipelined runtime
+        // dispatches on the sequential oracle whatever the depth.
         let (mut net, topo) = net2();
         let obs = Obs::new();
         let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
-            isolation: IsolationMode::Channel,
-            dispatch: DispatchConfig::pipelined().window(4),
+            isolation: IsolationMode::Local,
+            dispatch: DispatchConfig::pipelined().window(8),
             obs: ObsConfig::instance(obs.clone()),
             ..LegoSdnConfig::default()
         });
-        let poison = topo.hosts[1].mac;
-        rt.attach(Box::new(FaultyApp::new(
-            Box::new(Hub::new()),
-            BugTrigger::OnPacketToMac(poison),
-            BugEffect::Crash,
-        )))
-        .unwrap();
         rt.attach(Box::new(LearningSwitch::new())).unwrap();
         rt.run_cycle(&mut net);
-        // A burst of four packet-ins in one cycle, with the poison in the
-        // middle: slots after the crash must be cancelled, the app
-        // restored, and the tail re-sent from the recovered state.
-        let a = topo.hosts[0].mac;
-        net.inject(a, Packet::ethernet(a, MacAddr::from_index(7)))
-            .unwrap();
-        net.inject(a, Packet::ethernet(a, poison)).unwrap();
-        net.inject(a, Packet::ethernet(a, MacAddr::from_index(8)))
-            .unwrap();
-        net.inject(a, Packet::ethernet(a, MacAddr::from_index(9)))
-            .unwrap();
+        let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+        net.inject(a, Packet::ethernet(a, b)).unwrap();
+        net.inject(b, Packet::ethernet(b, a)).unwrap();
         let report = rt.run_cycle(&mut net);
-        assert!(report.events >= 4, "{report:?}");
-        assert!(report.recoveries >= 1, "{report:?}");
-        assert!(!rt.is_crashed());
-        // Healthy neighbor still produced network output for the burst.
-        assert!(report.commands > 0, "{report:?}");
-        // Both apps saw every event exactly once (crashed deliveries are
-        // replay-recovered, cancelled ones re-sent): the dispatch count
-        // must equal what sequential dispatch would record.
-        assert_eq!(rt.stats().dispatches, 2 * report.events as u64);
-        // Window instrumentation landed.
-        assert_eq!(obs.gauge("core", "window_depth", "").get(), 4);
-        assert!(obs.histogram("core", "window_queue_ns", "").count() >= 4);
-        for phase in ["window_fill", "window_commit"] {
-            assert!(
-                obs.histogram("core", phase, "").count() > 0,
-                "missing span histogram for {phase}"
-            );
-        }
-        // The system keeps processing later events after the window drains.
-        net.inject(a, Packet::ethernet(a, MacAddr::from_index(10)))
-            .unwrap();
-        let report = rt.run_cycle(&mut net);
-        assert!(report.events > 0);
-        rt.shutdown();
+        rt.tick_apps(&mut net);
+        assert!(report.events >= 2, "{report:?}");
+        assert!(rt.stats().dispatches > 0);
+        assert_eq!(obs.histogram("core", "window_fill", "").count(), 0);
     }
 
     #[test]

@@ -103,31 +103,6 @@ impl ShardRouter {
     }
 }
 
-/// Stable app→worker assignment: FNV-1a over the app name and its attach
-/// ordinal, avalanched, mod the worker count. Pure data — the same
-/// roster always shards the same way, on any machine, at any worker
-/// count.
-///
-/// The avalanche finalizer (splitmix64's) matters: raw FNV's low bit is
-/// just the XOR of the input bytes' low bits, so for rosters named
-/// `app-0`, `app-1`, … the decimal digit's parity cancels the ordinal's
-/// and `% 2` degenerates into a contiguous block split. Block-contiguous
-/// shards serialize the commit barrier (every position on worker B waits
-/// on all of worker A's declarations); mixing the bits first interleaves
-/// the roster across shards instead.
-#[must_use]
-pub fn stable_shard(name: &str, ordinal: usize, workers: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes().chain((ordinal as u64).to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    (h % workers.max(1) as u64) as usize
-}
-
 /// One translated event awaiting windowed dispatch, with the views it
 /// must be delivered against — the translator's views *as of its
 /// translation*, which is exactly what sequential dispatch would have
@@ -659,11 +634,10 @@ pub(crate) fn mark_dead(
 /// [`CommitBarrier`].
 ///
 /// The same engine runs the single-worker configuration (inline on the
-/// runtime's thread, `sharded == false`, `wait_more == false` so each
-/// [`run`] call drains what the store holds and returns for more) and
-/// the multi-worker one (on `lego-worker-N` scoped threads,
-/// `sharded == true`, `wait_more == true` so workers park in the store
-/// until the runtime closes it). Recorder scopes are per-thread, so
+/// runtime's thread, `sharded == false`, so each [`run`] call drains
+/// what the store holds and returns for more) and the multi-worker one
+/// (on `lego-worker-N` scoped threads, `sharded == true`, so workers
+/// park in the store until the runtime closes it). Recorder scopes are per-thread, so
 /// both configurations record full flight-recorder traces. Stats and
 /// the cycle report accumulate into worker-local zero-initialized
 /// deltas the runtime merges after the cycle — identical totals at any
@@ -683,12 +657,12 @@ pub(crate) struct WorkerRun<'env, 'net> {
     pub(crate) n_apps: usize,
     /// First transaction id of the cycle (position 0, sub 0).
     pub(crate) tx_cycle_base: u64,
+    /// Sharded workers run on their own threads: when caught up with
+    /// the store they park in [`SlotStore::wait_beyond`] for more slots
+    /// (fed by the runtime's fill loop) instead of returning to the
+    /// caller (single-worker drain mode, where the caller alternates
+    /// draining with filling).
     pub(crate) sharded: bool,
-    /// When caught up with the store, park in [`SlotStore::wait_beyond`]
-    /// for more slots (worker threads, fed by the runtime's extension
-    /// loop) instead of returning to the caller (single-worker drain
-    /// mode, where the caller alternates draining with extending).
-    pub(crate) wait_more: bool,
     /// Worker label for span histograms: empty when single-worker (the
     /// runtime's historical metric names), `"wN"` per worker otherwise.
     pub(crate) wl: String,
@@ -731,8 +705,8 @@ impl WorkerRun<'_, '_> {
     }
 
     /// Run the window over this shard's apps: drain every slot the
-    /// store currently holds (and, under `wait_more`, every slot the
-    /// runtime appends until it closes the store).
+    /// store currently holds (and, when sharded, every slot the runtime
+    /// appends until it closes the store).
     pub(crate) fn run(&mut self) {
         let mut pending = std::mem::take(&mut self.pending);
         let mut inflight = std::mem::take(&mut self.inflight);
@@ -744,7 +718,7 @@ impl WorkerRun<'_, '_> {
         loop {
             let len = self.store.len();
             if commit_pos >= len {
-                if !self.wait_more {
+                if !self.sharded {
                     break;
                 }
                 match self.store.wait_beyond(len) {
@@ -1211,23 +1185,6 @@ impl RuntimeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stable_shard_is_stable_and_in_range() {
-        for workers in 1..=8 {
-            for ordinal in 0..32 {
-                let a = stable_shard("learning-switch", ordinal, workers);
-                let b = stable_shard("learning-switch", ordinal, workers);
-                assert_eq!(a, b);
-                assert!(a < workers);
-            }
-        }
-        // Distinct ordinals of the same name do spread (the whole point
-        // of hashing the ordinal in).
-        let spread: std::collections::BTreeSet<usize> =
-            (0..16).map(|o| stable_shard("hub", o, 4)).collect();
-        assert!(spread.len() > 1, "identical ordinals never spread");
-    }
 
     #[test]
     fn commands_touch_classifies_the_fastpath_gate() {

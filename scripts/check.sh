@@ -17,8 +17,9 @@ cargo build -q --offline --release -p legosdn-bench --bin campaign --bin aggrega
 timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1 \
   || { echo "campaign smoke run failed or hung" >&2; exit 1; }
 
-# Same campaign under pipelined dispatch with isolated stubs: the fan-out
-# path must survive a full failure/recovery story, not just the bench.
+# Same campaign under pipelined dispatch with isolated stubs: the windowed
+# engine at depth 1 must survive a full failure/recovery story, not just
+# the bench.
 echo "==> campaign smoke under pipelined dispatch"
 timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1 \
   --dispatch pipelined --isolation channel \
@@ -161,10 +162,26 @@ timeout 120 cargo test -q --offline -p legosdn --test integration_obs_endpoint \
 
 # Dispatch determinism: pipelined and sequential must leave bit-identical
 # flow tables, NetLog order, and counters — swept across window depths
-# {1, 2, 8} and under seeded random crash injection. A stub deadlock would
+# {1, 2, 8}, under seeded random crash injection, and on a looped ring
+# whose spanning-tree block rules count every boot probe. A stub deadlock would
 # hang the test, so it too runs under a hard timeout.
 echo "==> dispatch determinism integration test (hard 120s timeout)"
 timeout 120 cargo test -q --offline -p legosdn --test integration_dispatch_determinism \
   || { echo "dispatch determinism test failed or timed out" >&2; exit 1; }
+
+# The full-stack benchmark is a workspace of its own: run its tests, then
+# a short isolated_burst replay, whose residue must match a sequential
+# replay of the same seed (`"correct": true`). That workload boots a
+# looped fat-tree under a depth-8 window with stubs, so it fails if an
+# impure raw is ever translated ahead of an earlier commit.
+echo "==> stackbench tests"
+cargo test -q --release --offline --manifest-path stackbench/Cargo.toml
+
+echo "==> stackbench isolated_burst smoke (hard 300s timeout)"
+BURST="$(timeout 300 cargo run --release --offline --quiet --manifest-path stackbench/Cargo.toml -- \
+  --workload isolated_burst --seconds 2 --seed 7)" \
+  || { echo "stackbench isolated_burst failed or hung" >&2; exit 1; }
+echo "$BURST" | grep -q '"correct": true' \
+  || { echo "stackbench isolated_burst residue diverged from sequential" >&2; exit 1; }
 
 echo "all checks passed"

@@ -4,7 +4,8 @@
 //! pipeline overlaps app *processing* only; everything that touches the
 //! network stays serialized in attach order (see DESIGN.md §9). The
 //! cross-event window (DESIGN.md §10) must preserve the same residue at
-//! every depth, including across crash-triggered cancellation/re-send.
+//! every depth, including across crash-triggered cancellation/re-send,
+//! and on a looped topology whose boot probes hit earlier commits.
 
 use legosdn::controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
@@ -147,6 +148,17 @@ fn run_campaign_lookahead(
         }
     }
 
+    Residue {
+        recoveries,
+        byzantine_blocked,
+        commands,
+        ..residue(&net, rt)
+    }
+}
+
+/// The network state, transaction log and counters a run leaves behind
+/// (per-cycle report totals zeroed); shuts the runtime down.
+fn residue(net: &Network, rt: LegoSdnRuntime) -> Residue {
     let mut flow_tables: Vec<(DatapathId, Vec<FlowEntry>)> = net
         .switches()
         .map(|sw| (sw.dpid(), sw.table().iter().cloned().collect()))
@@ -159,9 +171,9 @@ fn run_campaign_lookahead(
         flow_tables,
         txlog,
         stats,
-        recoveries,
-        byzantine_blocked,
-        commands,
+        recoveries: 0,
+        byzantine_blocked: 0,
+        commands: 0,
     }
 }
 
@@ -411,6 +423,85 @@ fn sharded_dispatch_is_stable_across_repeated_runs() {
         assert_eq!(reference.flow_tables, run.flow_tables);
         assert_eq!(reference.txlog, run.txlog);
         assert_eq!(reference.stats, run.stats);
+    }
+}
+
+/// Boot a 4-switch ring under SpanningTree + LearningSwitch, then send a
+/// few packets in both directions. The ring has a loop, so the spanning
+/// tree installs block rules at boot, and the handshakes' LLDP probes
+/// hit whichever block rules earlier commits already installed — the
+/// rule counters record the exact interleaving of translation and
+/// commit.
+fn run_ring(
+    dispatch: DispatchMode,
+    isolation: IsolationMode,
+    depth: usize,
+    workers: usize,
+) -> Residue {
+    let topo = Topology::ring(4, 1);
+    let mut net = Network::new(&topo);
+    let mut rt = LegoSdnRuntime::new(
+        LegoSdnConfig {
+            isolation,
+            dispatch: DispatchConfig {
+                mode: dispatch,
+                ..DispatchConfig::default()
+            }
+            .window(depth)
+            .workers(workers),
+            obs: ObsConfig::instance(Obs::new()),
+            ..LegoSdnConfig::default()
+        }
+        .build()
+        .expect("valid ring config"),
+    );
+    rt.attach(Box::new(SpanningTree::new())).unwrap();
+    rt.attach(Box::new(LearningSwitch::new())).unwrap();
+    rt.run_cycle(&mut net); // handshakes, discovery, block rules
+    while net.peek_event().is_some() {
+        rt.run_cycle(&mut net);
+    }
+    let (a, c) = (topo.hosts[0].mac, topo.hosts[2].mac);
+    for (src, dst) in [(a, c), (c, a), (a, c), (c, a)] {
+        let _ = net.inject(src, Packet::ethernet(src, dst));
+        rt.run_cycle(&mut net);
+    }
+    residue(&net, rt)
+}
+
+#[test]
+fn looped_topology_boot_matches_sequential_in_every_engine() {
+    // Impure raws (SwitchConnected, PortStatus) read and write the
+    // network, so the windowed engine may translate one only after
+    // every earlier slot has committed. Each config's residue — block
+    // rules and their counters included — must equal the sequential
+    // Local reference.
+    let reference = run_ring(DispatchMode::Sequential, IsolationMode::Local, 1, 1);
+    assert!(
+        !reference.txlog.is_empty(),
+        "ring run produced no transactions"
+    );
+    let mut configs = vec![(IsolationMode::Local, 1usize, 2usize)];
+    for depth in [1usize, 8] {
+        for workers in [1usize, 2] {
+            configs.push((IsolationMode::Channel, depth, workers));
+        }
+    }
+    for (isolation, depth, workers) in configs {
+        let run = run_ring(DispatchMode::Pipelined, isolation, depth, workers);
+        let what = format!("{isolation:?} depth {depth} workers {workers}");
+        assert_eq!(
+            reference.flow_tables, run.flow_tables,
+            "{what}: flow tables diverge"
+        );
+        assert_eq!(
+            reference.txlog, run.txlog,
+            "{what}: NetLog transaction order diverges"
+        );
+        assert_eq!(
+            reference.stats, run.stats,
+            "{what}: runtime counters diverge"
+        );
     }
 }
 
