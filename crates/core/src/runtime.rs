@@ -31,8 +31,8 @@
 use crate::config::{DispatchMode, IsolationMode, LegoSdnConfig, ResourceLimits};
 use crate::host::{Host, ProxyAdapter};
 use crate::workers::{
-    commit_outcome, select_app, AppRecord, CommitLane, ShardApp, ShardCtx, ShardRouter, SlotStore,
-    WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
+    commit_outcome, select_app, AppRecord, CommitLane, GateCache, ShardApp, ShardCtx, ShardRouter,
+    SlotStore, WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
 };
 use legosdn_appvisor::{AppVisorProxy, TransportKind};
 use legosdn_controller::app::SdnApp;
@@ -156,6 +156,8 @@ pub struct LegoSdnRuntime {
     translator: EventTranslator,
     netlog: NetLog,
     checker: Option<Checker>,
+    /// The byzantine gate's probe cache, lent to every commit lane.
+    gate: GateCache,
     /// Worker shards in id order; apps are hashed onto them at attach.
     shards: Vec<WorkerShard>,
     /// Global attach index → (shard, local index).
@@ -230,6 +232,7 @@ impl LegoSdnRuntime {
             translator: EventTranslator::new(),
             netlog,
             checker: config.checker.clone(),
+            gate: GateCache::new(&obs),
             shards,
             router: ShardRouter::default(),
             stats: RuntimeStats::default(),
@@ -712,6 +715,7 @@ impl LegoSdnRuntime {
         let lane = Mutex::new(CommitLane {
             net,
             netlog: &mut self.netlog,
+            gate: &mut self.gate,
             notify_seen: false,
         });
         // Nothing is in flight yet, so the first fill may translate an
@@ -882,6 +886,7 @@ impl LegoSdnRuntime {
         let mut lane = CommitLane {
             net,
             netlog: &mut self.netlog,
+            gate: &mut self.gate,
             notify_seen: false,
         };
         commit_outcome(
@@ -1488,6 +1493,42 @@ mod tests {
                 sw.dpid()
             );
         }
+    }
+
+    #[test]
+    fn gate_reuses_cached_probes_from_the_second_state_altering_commit() {
+        let obs = Obs::new();
+        let topo = Topology::linear(3, 1);
+        let mut net = Network::new(&topo);
+        let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+            obs: ObsConfig::instance(obs.clone()),
+            ..LegoSdnConfig::default()
+        });
+        rt.attach(Box::new(LearningSwitch::new())).unwrap();
+        let pairs = 6; // 3 hosts, ordered pairs
+        let counts = || {
+            (
+                obs.counter("invariants", "pairs_probed", "").get(),
+                obs.counter("invariants", "pairs_reused", "").get(),
+            )
+        };
+        rt.run_cycle(&mut net);
+        let macs: Vec<MacAddr> = topo.hosts.iter().map(|h| h.mac).collect();
+        for (a, b) in [(0, 2), (2, 0), (1, 2), (2, 1), (0, 1)] {
+            let (probed, reused) = counts();
+            if probed + reused >= 2 * pairs {
+                break;
+            }
+            net.inject(macs[a], Packet::ethernet(macs[a], macs[b]))
+                .unwrap();
+            rt.run_cycle(&mut net);
+        }
+        let (probed, reused) = counts();
+        // Every gated commit covers all pairs, split between the two.
+        assert_eq!((probed + reused) % pairs, 0);
+        assert!(probed + reused >= 2 * pairs, "fewer than two gated commits");
+        assert!(probed >= pairs, "the first check probes every pair");
+        assert!(reused > 0, "probed {probed}, reused {reused}");
     }
 
     #[test]

@@ -26,10 +26,10 @@ use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_crashpad::{
     CompromisePolicy, CrashPad, DeliveryResult, DispatchResult, RecoverableApp, RecoveryTaken,
 };
-use legosdn_invariants::{shutdown_network, Checker};
+use legosdn_invariants::{shutdown_network, CheckReport, Checker, ProbeCache};
 use legosdn_netlog::{CommitBarrier, NetLog, TxId, TxMode, TxTouch};
 use legosdn_netsim::{Network, SimTime};
-use legosdn_obs::{Obs, TraceId};
+use legosdn_obs::{Counter, Obs, TraceId};
 use legosdn_openflow::prelude::{DatapathId, FlowModCommand, Message};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -206,6 +206,7 @@ impl SlotStore {
 pub(crate) struct CommitLane<'a> {
     pub(crate) net: &'a mut Network,
     pub(crate) netlog: &'a mut NetLog,
+    pub(crate) gate: &'a mut GateCache,
     /// Sticky within the lane's lifetime: some committed batch carried a
     /// `send_flow_removed` FlowMod. The runtime folds this into its
     /// cross-cycle `notify_flows_seen` flag — once a notify-flagged entry
@@ -213,6 +214,44 @@ pub(crate) struct CommitLane<'a> {
     /// displace it and enqueue a `FlowRemoved`, so the fastpath stays off
     /// from then on.
     pub(crate) notify_seen: bool,
+}
+
+/// The runtime's incremental byzantine gate state (DESIGN.md §16): one
+/// probe cache every gated commit reuses, and the counters each check
+/// feeds, resolved once at construction.
+pub(crate) struct GateCache {
+    probes: ProbeCache,
+    pairs_probed: Arc<Counter>,
+    pairs_reused: Arc<Counter>,
+}
+
+impl GateCache {
+    pub(crate) fn new(obs: &Obs) -> Self {
+        GateCache {
+            probes: ProbeCache::new(),
+            pairs_probed: obs.counter("invariants", "pairs_probed", ""),
+            pairs_reused: obs.counter("invariants", "pairs_reused", ""),
+        }
+    }
+
+    /// Check `net` through the cache: the network as it stands
+    /// (immediate mode, commands already applied), or a scratch copy
+    /// with `buffered` applied.
+    fn check(
+        &mut self,
+        checker: &Checker,
+        net: &Network,
+        buffered: Option<&[(DatapathId, Message)]>,
+    ) -> CheckReport {
+        let report = match buffered {
+            Some(commands) => checker.gate_with(net, commands, &mut self.probes),
+            None => checker.check_with(net, &mut self.probes),
+        };
+        let counts = self.probes.last_check();
+        self.pairs_probed.add(counts.probed as u64);
+        self.pairs_reused.add(counts.reused as u64);
+        report
+    }
 }
 
 /// A shard's view of the runtime while acting on one app: the shard
@@ -497,20 +536,14 @@ fn execute_guarded(
     // Byzantine gate. Only state-altering output can violate network
     // invariants; pure packet-outs/reads skip the (expensive) check.
     let alters_state = commands.iter().any(|c| c.msg.alters_network_state());
-    let violations = match (
-        alters_state.then_some(()).and(cx.checker),
-        lane.netlog.mode(),
-    ) {
-        (Some(checker), TxMode::Buffered) => {
-            let r = checker.gate(lane.net, tx.buffered_commands());
+    let violations = alters_state
+        .then_some(())
+        .and(cx.checker)
+        .and_then(|checker| {
+            let buffered = (lane.netlog.mode() == TxMode::Buffered).then(|| tx.buffered_commands());
+            let r = lane.gate.check(checker, lane.net, buffered);
             (!r.is_clean()).then_some(r.violations.len())
-        }
-        (Some(checker), TxMode::Immediate) => {
-            let r = checker.check(lane.net);
-            (!r.is_clean()).then_some(r.violations.len())
-        }
-        (None, _) => None,
-    };
+        });
 
     match violations {
         Some(nviol) => {

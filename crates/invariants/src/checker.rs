@@ -4,10 +4,11 @@
 //! byzantine-failure detection (§3.3) and for enforcing "No-Compromise"
 //! invariants with a network-shutdown escape hatch (§5).
 
-use crate::probe::{probe, ProbeOutcome};
+use crate::cache::ProbeCache;
+use crate::probe::ProbeOutcome;
 use legosdn_codec::Codec;
 use legosdn_netsim::{Endpoint, Network};
-use legosdn_openflow::prelude::{DatapathId, MacAddr, Message, Packet};
+use legosdn_openflow::prelude::{DatapathId, MacAddr, Message};
 
 /// A checkable network-wide invariant.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Codec)]
@@ -82,7 +83,7 @@ impl CheckReport {
 pub struct Checker {
     /// Which invariants to enforce.
     pub invariants: Vec<Invariant>,
-    /// Cap on host pairs probed per check (all-pairs is quadratic; large
+    /// Cap on host pairs checked (all-pairs is quadratic; large
     /// topologies sample the first N pairs deterministically).
     pub max_pairs: usize,
 }
@@ -107,61 +108,55 @@ impl Checker {
     }
 
     /// Probe every (ordered) host pair and report violations of the
-    /// enforced invariants.
+    /// enforced invariants. A [`Self::check_with`] over a fresh cache.
     #[must_use]
     pub fn check(&self, net: &Network) -> CheckReport {
-        let hosts: Vec<_> = net.hosts().to_vec();
+        self.check_with(net, &mut ProbeCache::new())
+    }
+
+    /// [`Self::check`], re-probing only the pairs whose last walk crossed
+    /// a switch that changed since `cache` last saw it (or that are new to
+    /// it). The report is identical to a fresh all-pairs check, pair order
+    /// included.
+    #[must_use]
+    pub fn check_with(&self, net: &Network, cache: &mut ProbeCache) -> CheckReport {
         let mut report = CheckReport::default();
-        'outer: for src in &hosts {
-            for dst in &hosts {
-                if src.mac == dst.mac {
-                    continue;
+        for (src, dst, outcome) in cache.refresh(net, self.max_pairs) {
+            report.pairs_checked += 1;
+            match outcome {
+                ProbeOutcome::Delivered
+                | ProbeOutcome::Flooded {
+                    reached_destination: true,
+                } => {
+                    report.pairs_delivered += 1;
                 }
-                if report.pairs_checked >= self.max_pairs {
-                    break 'outer;
+                ProbeOutcome::Punt { .. } => {
+                    report.pairs_punted += 1;
                 }
-                report.pairs_checked += 1;
-                let pkt = Packet::ethernet(src.mac, dst.mac);
-                match probe(net, src.mac, dst.mac, &pkt) {
-                    ProbeOutcome::Delivered
-                    | ProbeOutcome::Flooded {
-                        reached_destination: true,
-                    } => {
-                        report.pairs_delivered += 1;
+                ProbeOutcome::BlackHole { at } => {
+                    if self.invariants.contains(&Invariant::NoBlackHoles) {
+                        report
+                            .violations
+                            .push(Violation::BlackHole { src, dst, at: *at });
                     }
-                    ProbeOutcome::Punt { .. } => {
-                        report.pairs_punted += 1;
-                    }
-                    ProbeOutcome::BlackHole { at } => {
-                        if self.invariants.contains(&Invariant::NoBlackHoles) {
-                            report.violations.push(Violation::BlackHole {
-                                src: src.mac,
-                                dst: dst.mac,
-                                at,
-                            });
-                        }
-                    }
-                    ProbeOutcome::Loop { path } => {
-                        if self.invariants.contains(&Invariant::NoLoops) {
-                            report.violations.push(Violation::Loop {
-                                src: src.mac,
-                                dst: dst.mac,
-                                path,
-                            });
-                        }
-                    }
-                    ProbeOutcome::Flooded {
-                        reached_destination: false,
-                    } => {
-                        if self.invariants.contains(&Invariant::AllPairsServiced) {
-                            report.violations.push(Violation::Undelivered {
-                                src: src.mac,
-                                dst: dst.mac,
-                            });
-                        }
-                    }
-                    ProbeOutcome::NoSuchSource => {}
                 }
+                ProbeOutcome::Loop { path } => {
+                    if self.invariants.contains(&Invariant::NoLoops) {
+                        report.violations.push(Violation::Loop {
+                            src,
+                            dst,
+                            path: path.clone(),
+                        });
+                    }
+                }
+                ProbeOutcome::Flooded {
+                    reached_destination: false,
+                } => {
+                    if self.invariants.contains(&Invariant::AllPairsServiced) {
+                        report.violations.push(Violation::Undelivered { src, dst });
+                    }
+                }
+                ProbeOutcome::NoSuchSource => {}
             }
         }
         report
@@ -169,18 +164,31 @@ impl Checker {
 
     /// The pre-commit gate: would applying `commands` violate the enforced
     /// invariants? Verifies against a scratch clone; the real network is
-    /// untouched.
+    /// untouched. A [`Self::gate_with`] over a fresh cache.
     ///
     /// This is how NetLog detects byzantine output before it damages the
     /// network (§3.3: "the output of the SDN-App violates network
     /// invariants, which can be detected using policy checkers").
     #[must_use]
     pub fn gate(&self, net: &Network, commands: &[(DatapathId, Message)]) -> CheckReport {
+        self.gate_with(net, commands, &mut ProbeCache::new())
+    }
+
+    /// [`Self::gate`] through `cache`. The scratch clone keeps the real
+    /// network's stamps, so only pairs crossing a switch `commands` (or an
+    /// earlier change) touched are probed again.
+    #[must_use]
+    pub fn gate_with(
+        &self,
+        net: &Network,
+        commands: &[(DatapathId, Message)],
+        cache: &mut ProbeCache,
+    ) -> CheckReport {
         let mut scratch = net.clone();
         for (dpid, msg) in commands {
             let _ = scratch.apply(*dpid, msg);
         }
-        self.check(&scratch)
+        self.check_with(&scratch, cache)
     }
 }
 
@@ -196,6 +204,7 @@ pub fn shutdown_network(net: &mut Network) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProbeCache;
     use legosdn_netsim::Topology;
     use legosdn_openflow::prelude::*;
 
@@ -329,6 +338,52 @@ mod tests {
         };
         let report = checker.check(&net);
         assert_eq!(report.pairs_checked, 7);
+    }
+
+    #[test]
+    fn one_cache_follows_max_pairs_and_network_changes() {
+        let star = Network::new(&Topology::star(3, 2)); // 30 ordered pairs
+        let (linear, _) = delivered_net();
+        let mut cache = ProbeCache::new();
+        for (net, max_pairs, probed) in [
+            (&star, 7, 7),
+            (&star, 30, 23), // only the new pairs walk
+            (&star, 30, 0),
+            (&star, 5, 0),    // truncation reuses the prefix
+            (&linear, 30, 2), // other wiring starts over
+            (&star, 30, 30),
+        ] {
+            let checker = Checker {
+                max_pairs,
+                ..Checker::default()
+            };
+            assert_eq!(checker.check_with(net, &mut cache), checker.check(net));
+            assert_eq!(cache.last_check().probed, probed, "max_pairs {max_pairs}");
+        }
+    }
+
+    #[test]
+    fn cached_gate_matches_fresh_gate_and_keeps_the_real_network_exact() {
+        let (mut net, topo) = delivered_net();
+        let d1 = topo.hosts[0].attach.dpid;
+        let checker = Checker::default();
+        let mut cache = ProbeCache::new();
+        assert!(checker.check_with(&net, &mut cache).is_clean());
+        let bad = vec![(
+            d1,
+            Message::FlowMod(FlowMod::add(Match::any()).priority(u16::MAX)),
+        )];
+        let gated = checker.gate_with(&net, &bad, &mut cache);
+        assert!(!gated.is_clean());
+        assert_eq!(gated, checker.gate(&net, &bad));
+        // The cache saw the clone's stamps; the real network never
+        // reached them, so the next check walks the touched pairs again.
+        assert_eq!(checker.check_with(&net, &mut cache), checker.check(&net));
+        assert!(cache.last_check().probed > 0);
+        // A different change to the real switch the gate touched.
+        let fm = FlowMod::add(Match::eth_dst(topo.hosts[1].mac)).priority(50);
+        net.apply(d1, &Message::FlowMod(fm)).unwrap();
+        assert_eq!(checker.check_with(&net, &mut cache), checker.check(&net));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use legosdn_codec::Codec;
 use legosdn_netsim::{Endpoint, Network};
-use legosdn_openflow::prelude::{apply_actions, MacAddr, Packet, PortNo};
+use legosdn_openflow::prelude::{apply_actions, DatapathId, MacAddr, Packet, PortNo};
 use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -70,6 +70,21 @@ fn hash_packet(pkt: &Packet) -> u64 {
 /// Probe `packet` from `src` toward `dst` through the current flow tables.
 #[must_use]
 pub fn probe(net: &Network, src: MacAddr, dst: MacAddr, packet: &Packet) -> ProbeOutcome {
+    probe_with_footprint(net, src, dst, packet, &mut Vec::new())
+}
+
+/// [`probe`], also appending to `footprint` every switch the walk
+/// dequeues, in visit order and with repeats. The outcome is a function of
+/// the static wiring and of exactly those switches' state — their flow
+/// tables, ports, power, and the status of links at their ports — which is
+/// what lets [`crate::ProbeCache`] reuse it while their stamps hold.
+pub(crate) fn probe_with_footprint(
+    net: &Network,
+    src: MacAddr,
+    dst: MacAddr,
+    packet: &Packet,
+    footprint: &mut Vec<DatapathId>,
+) -> ProbeOutcome {
     let Some(host) = net.host_by_mac(src) else {
         return ProbeOutcome::NoSuchSource;
     };
@@ -85,6 +100,7 @@ pub fn probe(net: &Network, src: MacAddr, dst: MacAddr, packet: &Packet) -> Prob
     let mut hops = 0usize;
 
     while let Some((at, pkt)) = queue.pop_front() {
+        footprint.push(at.dpid);
         hops += 1;
         if hops > PROBE_HOP_LIMIT || !visited.insert((at, hash_packet(&pkt))) {
             return ProbeOutcome::Loop { path };

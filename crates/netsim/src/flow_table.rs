@@ -30,6 +30,7 @@
 //! the retained linear implementation the equivalence suite checks against).
 
 use crate::clock::{SimDuration, SimTime};
+use crate::revision::Revision;
 use legosdn_codec::{Codec, CodecError, Reader};
 use legosdn_openflow::error::{ErrorCode, ErrorType};
 use legosdn_openflow::messages::{
@@ -193,6 +194,9 @@ pub struct FlowTable {
     /// Conservative minimum over entry deadlines: `expire(now)` is a no-op
     /// whenever `now` precedes it. `None` means nothing can ever expire.
     earliest_deadline: Option<SimTime>,
+    /// Replaced whenever an entry is inserted, removed, modified or
+    /// expired; counter updates keep it. Never encoded.
+    revision: Revision,
 }
 
 impl FlowTable {
@@ -220,6 +224,12 @@ impl FlowTable {
     /// Iterate over installed entries (highest priority first).
     pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> {
         self.entries.iter()
+    }
+
+    /// The table's change stamp (see [`Revision`]).
+    #[must_use]
+    pub fn revision(&self) -> Revision {
+        self.revision
     }
 
     /// Table summary counters.
@@ -265,6 +275,7 @@ impl FlowTable {
     /// Insert a fresh entry into the store and its tier, maintaining order
     /// and the watermark.
     fn insert_entry(&mut self, entry: FlowEntry) {
+        self.revision = Revision::fresh();
         let cand = (entry.priority, entry.seq);
         if let Some(d) = entry.deadline() {
             self.earliest_deadline = Some(match self.earliest_deadline {
@@ -295,6 +306,7 @@ impl FlowTable {
     /// watermark is left untouched: removal can only raise the true minimum,
     /// so the cached value stays conservative.
     fn remove_entry(&mut self, cand: Cand) -> FlowEntry {
+        self.revision = Revision::fresh();
         let pos = self.position_of(cand);
         let e = self.entries.remove(pos);
         match e.mat.exact_key() {
@@ -501,6 +513,7 @@ impl FlowTable {
             // OF 1.0: a modify that matches nothing behaves like an add.
             return self.add(fm, now);
         }
+        self.revision = Revision::fresh();
         Ok(outcome)
     }
 
@@ -609,6 +622,7 @@ impl FlowTable {
             }
         });
         if !expired.is_empty() {
+            self.revision = Revision::fresh();
             self.rebuild_tiers();
         }
         // The watermark may have been stale-early (idle deadlines moved by

@@ -21,6 +21,7 @@ pub mod clock;
 pub mod flow_table;
 pub mod network;
 pub mod reference;
+pub mod revision;
 pub mod switch;
 pub mod topology;
 
@@ -28,5 +29,6 @@ pub use clock::{SimDuration, SimTime};
 pub use flow_table::{ExpiredFlow, FlowEntry, FlowModOutcome, FlowTable};
 pub use network::{ApplyOutcome, DataplaneTrace, NetError, NetEvent, Network, HOP_LIMIT};
 pub use reference::LinearFlowTable;
+pub use revision::Revision;
 pub use switch::{PortState, Switch, SwitchOutput};
 pub use topology::{Endpoint, HostSpec, LinkSpec, Topology};

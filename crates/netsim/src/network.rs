@@ -12,6 +12,7 @@
 //! black-hole and loop invariants.
 
 use crate::clock::{SimDuration, SimTime};
+use crate::revision::Revision;
 use crate::switch::Switch;
 use crate::topology::{Endpoint, HostSpec, LinkSpec, Topology};
 use legosdn_openflow::inverse::PreState;
@@ -20,6 +21,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Maximum dataplane hops before a walk is declared a loop.
 pub const HOP_LIMIT: usize = 64;
@@ -101,23 +103,29 @@ impl DataplaneTrace {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Link {
-    spec: LinkSpec,
-    up: bool,
+/// The static half of a network: hosts and link specs. Every clone
+/// shares it; only link status lives per copy (`Network::link_up`).
+#[derive(Debug)]
+struct Wiring {
+    /// Identifies this wiring across clones (see [`Network::wiring_revision`]).
+    revision: Revision,
+    hosts: Vec<HostSpec>,
+    links: Vec<LinkSpec>,
 }
 
 /// The simulated network.
 ///
 /// `Clone` is deliberate: invariant gates (NetLog pre-commit checks) verify
 /// candidate rule-sets against a scratch copy before touching the real
-/// network.
+/// network. A clone copies switch state and link status and shares the
+/// static wiring.
 #[derive(Clone, Debug)]
 pub struct Network {
     now: SimTime,
     switches: BTreeMap<DatapathId, Switch>,
-    links: Vec<Link>,
-    hosts: Vec<HostSpec>,
+    wiring: Arc<Wiring>,
+    /// Status of each link, indexed like `wiring.links`.
+    link_up: Vec<bool>,
     events: VecDeque<NetEvent>,
     /// Lifetime delivery/drop counters for availability experiments.
     total_delivered: u64,
@@ -140,12 +148,12 @@ impl Network {
         Network {
             now: SimTime::ZERO,
             switches,
-            links: topology
-                .links
-                .iter()
-                .map(|&spec| Link { spec, up: true })
-                .collect(),
-            hosts: topology.hosts.clone(),
+            link_up: vec![true; topology.links.len()],
+            wiring: Arc::new(Wiring {
+                revision: Revision::fresh(),
+                hosts: topology.hosts.clone(),
+                links: topology.links.clone(),
+            }),
             events,
             total_delivered: 0,
             total_dropped: 0,
@@ -177,53 +185,46 @@ impl Network {
     /// All hosts.
     #[must_use]
     pub fn hosts(&self) -> &[HostSpec] {
-        &self.hosts
+        &self.wiring.hosts
     }
 
     /// All links with their current status.
     pub fn links(&self) -> impl Iterator<Item = (&LinkSpec, bool)> {
-        self.links.iter().map(|l| (&l.spec, l.up))
+        self.wiring.links.iter().zip(self.link_up.iter().copied())
+    }
+
+    /// Stamp of the static wiring (hosts, links, switch set): shared by
+    /// clones, distinct for every independently built network.
+    #[must_use]
+    pub fn wiring_revision(&self) -> Revision {
+        self.wiring.revision
     }
 
     /// Find a host by MAC.
     #[must_use]
     pub fn host_by_mac(&self, mac: MacAddr) -> Option<&HostSpec> {
-        self.hosts.iter().find(|h| h.mac == mac)
+        self.wiring.hosts.iter().find(|h| h.mac == mac)
     }
 
     /// The host attached at `(dpid, port)`, if any.
     #[must_use]
     pub fn host_at(&self, at: Endpoint) -> Option<&HostSpec> {
-        self.hosts.iter().find(|h| h.attach == at)
+        self.wiring.hosts.iter().find(|h| h.attach == at)
     }
 
     /// The far end of the up link at `(dpid, port)`, if any.
     #[must_use]
     pub fn link_peer(&self, at: Endpoint) -> Option<Endpoint> {
-        self.links.iter().filter(|l| l.up).find_map(|l| {
-            if l.spec.a == at {
-                Some(l.spec.b)
-            } else if l.spec.b == at {
-                Some(l.spec.a)
-            } else {
-                None
-            }
-        })
+        self.links()
+            .filter(|(_, up)| *up)
+            .find_map(|(l, _)| far_end(l, at))
     }
 
     /// Like [`Self::link_peer`] but ignoring link status — the wiring, not
     /// the weather.
     #[must_use]
     pub fn wired_peer(&self, at: Endpoint) -> Option<Endpoint> {
-        self.links.iter().find_map(|l| {
-            if l.spec.a == at {
-                Some(l.spec.b)
-            } else if l.spec.b == at {
-                Some(l.spec.a)
-            } else {
-                None
-            }
-        })
+        self.wiring.links.iter().find_map(|l| far_end(l, at))
     }
 
     /// Lifetime `(delivered, dropped)` dataplane counters.
@@ -402,12 +403,12 @@ impl Network {
     /// Take the `idx`-th link up or down. Both endpoint switches observe the
     /// change and emit port-status notifications.
     pub fn set_link_up(&mut self, idx: usize, up: bool) -> Result<(), NetError> {
-        let link = self.links.get_mut(idx).ok_or(NetError::UnknownLink)?;
-        if link.up == up {
+        let was = *self.link_up.get(idx).ok_or(NetError::UnknownLink)?;
+        if was == up {
             return Ok(());
         }
-        link.up = up;
-        let spec = link.spec;
+        self.write_link_up(idx, up);
+        let spec = self.wiring.links[idx];
         for ep in [spec.a, spec.b] {
             if let Some(sw) = self.switches.get_mut(&ep.dpid) {
                 if let Some(msg) = sw.set_link_down(ep.port, !up) {
@@ -420,12 +421,27 @@ impl Network {
         Ok(())
     }
 
+    /// The one writer of link status. Restamps both endpoint switches
+    /// even when a port's own state does not change, since walks read
+    /// link status (through [`Self::link_peer`]) at whichever end they
+    /// stand on.
+    fn write_link_up(&mut self, idx: usize, up: bool) {
+        self.link_up[idx] = up;
+        let spec = self.wiring.links[idx];
+        for dpid in [spec.a.dpid, spec.b.dpid] {
+            if let Some(sw) = self.switches.get_mut(&dpid) {
+                sw.restamp();
+            }
+        }
+    }
+
     /// Find the index of the link between two switches (first match).
     #[must_use]
     pub fn find_link(&self, a: DatapathId, b: DatapathId) -> Option<usize> {
-        self.links.iter().position(|l| {
-            (l.spec.a.dpid == a && l.spec.b.dpid == b) || (l.spec.a.dpid == b && l.spec.b.dpid == a)
-        })
+        self.wiring
+            .links
+            .iter()
+            .position(|l| (l.a.dpid == a && l.b.dpid == b) || (l.a.dpid == b && l.b.dpid == a))
     }
 
     /// Power a switch on or off. Powering off drops its flow state, takes
@@ -447,21 +463,22 @@ impl Network {
         });
         // Peers see their link to this switch flap.
         let affected: Vec<(usize, Endpoint)> = self
+            .wiring
             .links
             .iter()
             .enumerate()
             .filter_map(|(i, l)| {
-                if l.spec.a.dpid == dpid {
-                    Some((i, l.spec.b))
-                } else if l.spec.b.dpid == dpid {
-                    Some((i, l.spec.a))
+                if l.a.dpid == dpid {
+                    Some((i, l.b))
+                } else if l.b.dpid == dpid {
+                    Some((i, l.a))
                 } else {
                     None
                 }
             })
             .collect();
         for (idx, peer) in affected {
-            self.links[idx].up = up;
+            self.write_link_up(idx, up);
             if let Some(psw) = self.switches.get_mut(&peer.dpid) {
                 if let Some(msg) = psw.set_link_down(peer.port, !up) {
                     if psw.is_up() {
@@ -471,6 +488,17 @@ impl Network {
             }
         }
         Ok(())
+    }
+}
+
+/// The other end of `link` if `at` is one of its ends.
+fn far_end(link: &LinkSpec, at: Endpoint) -> Option<Endpoint> {
+    if link.a == at {
+        Some(link.b)
+    } else if link.b == at {
+        Some(link.a)
+    } else {
+        None
     }
 }
 
@@ -727,6 +755,92 @@ mod tests {
         // The sender's own host must not receive a copy (flood excludes the
         // ingress port).
         assert!(!trace.delivered_to(a));
+    }
+
+    /// `(switch, table)` stamps of every switch, in dpid order.
+    fn stamps(net: &Network) -> Vec<(Revision, Revision)> {
+        net.switches()
+            .map(|s| (s.revision(), s.table().revision()))
+            .collect()
+    }
+
+    #[test]
+    fn stamps_move_with_forwarding_state_only() {
+        let (mut net, a, b) = two_switch();
+        let host_b = net.host_by_mac(b).unwrap().clone();
+        let d = host_b.attach.dpid;
+        let fresh = stamps(&net);
+        // A clone keeps every stamp and shares the wiring.
+        let copy = net.clone();
+        assert_eq!(stamps(&copy), fresh);
+        assert_eq!(copy.wiring_revision(), net.wiring_revision());
+        assert_ne!(
+            Network::new(&Topology::linear(2, 1)).wiring_revision(),
+            net.wiring_revision()
+        );
+        // Entry insert restamps the table, not the switch.
+        let fm = FlowMod::add(Match::eth_dst(b))
+            .idle_timeout(5)
+            .action(Action::Output(PortNo::Phys(host_b.attach.port)));
+        net.apply(d, &Message::FlowMod(fm)).unwrap();
+        let after_add = stamps(&net);
+        let i = usize::from(d != DatapathId(1));
+        assert_ne!(after_add[i].1, fresh[i].1);
+        assert_eq!(after_add[i].0, fresh[i].0);
+        assert_eq!(after_add[1 - i], fresh[1 - i]);
+        // Counter and last_matched updates keep every stamp.
+        net.inject(a, Packet::ethernet(a, b)).unwrap();
+        net.apply(d, &Message::EchoRequest(vec![])).unwrap();
+        assert_eq!(stamps(&net), after_add);
+        // Modify, a no-op delete, and delete.
+        let modify = FlowMod {
+            command: legosdn_openflow::prelude::FlowModCommand::Modify,
+            ..FlowMod::add(Match::eth_dst(b)).action(Action::Output(PortNo::Flood))
+        };
+        net.apply(d, &Message::FlowMod(modify)).unwrap();
+        let after_modify = stamps(&net);
+        assert_ne!(after_modify[i].1, after_add[i].1);
+        net.apply(d, &Message::FlowMod(FlowMod::delete(Match::eth_dst(a))))
+            .unwrap();
+        assert_eq!(stamps(&net), after_modify, "nothing matched, nothing moved");
+        // Expiry.
+        net.tick(SimDuration::from_secs(10));
+        assert!(net.switch(d).unwrap().table().is_empty());
+        assert_ne!(stamps(&net)[i].1, after_modify[i].1);
+        // Port config_down via PortMod.
+        let before = stamps(&net);
+        let pm = legosdn_openflow::prelude::PortMod {
+            port_no: PortNo::Phys(host_b.attach.port),
+            hw_addr: MacAddr::from_index(0),
+            down: true,
+        };
+        net.apply(d, &Message::PortMod(pm)).unwrap();
+        assert_ne!(stamps(&net)[i].0, before[i].0);
+        // Link status restamps both ends.
+        let before = stamps(&net);
+        net.set_link_up(0, false).unwrap();
+        let after = stamps(&net);
+        assert!(after.iter().zip(&before).all(|(x, y)| x.0 != y.0));
+    }
+
+    #[test]
+    fn link_status_write_restamps_a_peer_whose_port_did_not_move() {
+        // A cut link's ports are already down, so powering one end off
+        // changes no port on the other end; the link-status write must
+        // still restamp it.
+        let (mut net, _, _) = two_switch();
+        net.set_link_up(0, false).unwrap();
+        let before = stamps(&net);
+        net.set_switch_up(DatapathId(1), false).unwrap();
+        let after = stamps(&net);
+        assert_ne!(after[1].0, before[1].0, "peer of the powered-off switch");
+        assert_ne!(after[0], before[0], "powered-off switch: power and table");
+        net.set_switch_up(DatapathId(1), true).unwrap();
+        assert!(
+            net.links().all(|(_, up)| up),
+            "power-on brings the link back"
+        );
+        assert_ne!(stamps(&net)[1].0, after[1].0);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::clock::SimTime;
 use crate::flow_table::FlowTable;
+use crate::revision::Revision;
 use legosdn_codec::Codec;
 use legosdn_openflow::error::{ErrorCode, ErrorType};
 use legosdn_openflow::inverse::PreState;
@@ -60,6 +61,10 @@ pub struct Switch {
     n_buffers: u32,
     /// Whether the switch itself is up. A down switch drops everything.
     up: bool,
+    /// Replaced on power and port-liveness changes and whenever a link at
+    /// one of its ports goes up or down; the table carries its own stamp.
+    #[codec(skip)]
+    revision: Revision,
 }
 
 impl Switch {
@@ -95,6 +100,7 @@ impl Switch {
             next_buffer: 0,
             n_buffers: 256,
             up: true,
+            revision: Revision::fresh(),
         }
     }
 
@@ -117,7 +123,24 @@ impl Switch {
             self.table = FlowTable::default();
             self.buffers.clear();
         }
+        if self.up != up {
+            self.restamp();
+        }
         self.up = up;
+    }
+
+    /// The switch's change stamp (see [`Revision`]). Forwarding through
+    /// this switch can differ from an earlier walk only if this stamp or
+    /// [`FlowTable::revision`] differs.
+    #[must_use]
+    pub fn revision(&self) -> Revision {
+        self.revision
+    }
+
+    /// Draw a fresh stamp: the network calls this when a link at one of
+    /// this switch's ports changes status.
+    pub(crate) fn restamp(&mut self) {
+        self.revision = Revision::fresh();
     }
 
     /// Read-only flow table access (invariant checkers, NetLog).
@@ -153,6 +176,7 @@ impl Switch {
             return None;
         }
         state.desc.link_down = down;
+        self.revision = Revision::fresh();
         Some(Message::PortStatus(PortStatus {
             reason: PortStatusReason::Modify,
             desc: state.desc.clone(),
@@ -214,6 +238,9 @@ impl Switch {
                 };
                 let was_down = state.desc.config_down;
                 state.desc.config_down = pm.down;
+                if was_down != pm.down {
+                    self.revision = Revision::fresh();
+                }
                 let mut out = SwitchOutput {
                     pre_state: Some(PreState::PortWasDown(was_down)),
                     ..SwitchOutput::default()
@@ -747,6 +774,42 @@ mod tests {
         // Power-cycle loses the flow table.
         s.set_up(true);
         assert!(s.table().is_empty());
+    }
+
+    #[test]
+    fn power_and_port_liveness_restamp_the_switch() {
+        let mut s = sw();
+        let mut last = s.revision();
+        let mut moved = |s: &Switch| {
+            let changed = s.revision() != last;
+            last = s.revision();
+            changed
+        };
+        s.receive_packet(1, &pkt(), SimTime::ZERO);
+        s.handle_message(&Message::Hello, SimTime::ZERO);
+        assert!(!moved(&s), "traffic and replies keep the stamp");
+        s.set_link_down(2, true).unwrap();
+        assert!(moved(&s));
+        assert!(s.set_link_down(2, true).is_none());
+        assert!(!moved(&s), "no change, no stamp");
+        let pm = PortMod {
+            port_no: PortNo::Phys(3),
+            hw_addr: s.port(3).unwrap().desc.hw_addr,
+            down: true,
+        };
+        s.handle_message(&Message::PortMod(pm), SimTime::ZERO);
+        assert!(moved(&s));
+        s.set_up(false);
+        assert!(moved(&s));
+        s.set_up(false);
+        assert!(!moved(&s));
+        s.set_up(true);
+        assert!(moved(&s));
+        // A clone keeps the stamp; a decoded copy gets a fresh one.
+        assert_eq!(s.clone().revision(), s.revision());
+        let back: Switch =
+            legosdn_codec::from_bytes(&legosdn_codec::to_bytes(&s).unwrap()).unwrap();
+        assert_ne!(back.revision(), s.revision());
     }
 
     #[test]

@@ -184,4 +184,14 @@ BURST="$(timeout 300 cargo run --release --offline --quiet --manifest-path stack
 echo "$BURST" | grep -q '"correct": true' \
   || { echo "stackbench isolated_burst residue diverged from sequential" >&2; exit 1; }
 
+# The shipped defaults gate every state-altering commit through the
+# incremental invariant checker: a reactive_local replay must leave the
+# same residue as its sequential reference.
+echo "==> stackbench reactive_local smoke (hard 300s timeout)"
+REACTIVE="$(timeout 300 cargo run --release --offline --quiet --manifest-path stackbench/Cargo.toml -- \
+  --workload reactive_local --seconds 2 --seed 7)" \
+  || { echo "stackbench reactive_local failed or hung" >&2; exit 1; }
+echo "$REACTIVE" | grep -q '"correct": true' \
+  || { echo "stackbench reactive_local residue diverged from sequential" >&2; exit 1; }
+
 echo "all checks passed"
