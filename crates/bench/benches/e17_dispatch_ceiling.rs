@@ -1,25 +1,11 @@
-//! E17 — lifting the sharded-dispatch ceilings (PR 10 tentpole).
+//! E17 — the sharded-dispatch ceiling.
 //!
-//! PR 8's E15 exhibit was assignment-bound: pure-hash placement dealt the
+//! The E15 exhibit was assignment-bound: pure-hash placement dealt the
 //! 16-app roster [5,3,4,4], so 4 workers could never beat 16/5 = 3.2x.
-//! This exhibit measures the three ceiling-lifters together:
-//!
-//! 1. The E15 workload re-run (same roster, waits, and burst): load-aware
-//!    placement now deals [4,4,4,4] and stub commits declare at collect
-//!    time, so the 4-worker speedup should clear the old 3.2x bound
-//!    (target >= 3.6x).
-//! 2. A skewed-cost roster (per-app event waits drawn from a heavy-tailed
-//!    weight table) on a many-small-cycle trace: count-balanced placement
-//!    is load-imbalanced here ([15,13,11,9] in weight units), so the
-//!    EWMA-fed first-fit-decreasing rebalance at cycle boundaries is what
-//!    restores the 4.0x bound.
-//! 3. A cross-cycle burst train in the E12 mold: a hub's flood replies
-//!    arrive as fresh packet-ins at downstream switches, so each injected
-//!    burst drains as one wave per cycle at `lookahead 1` — and each
-//!    wave's service cost is owned by a different app. At `lookahead 2`
-//!    the send cursor runs ahead into the waves this cycle's own commits
-//!    enqueue, so consecutive waves' disjoint owners overlap instead of
-//!    idling a cycle apart (target win > 1.2x).
+//! This exhibit re-runs the E15 workload (same roster, waits, and burst):
+//! count-balanced placement deals [4,4,4,4] and stub commits declare at
+//! collect time, so the 4-worker speedup should clear the old 3.2x bound
+//! (target >= 3.6x).
 //!
 //! The E12 guard from E15 is re-run verbatim and, when `BENCH_8.json` is
 //! present, its depth-1/depth-8 numbers must not land more than 3% above
@@ -27,7 +13,7 @@
 //! single-worker window. Results land in `BENCH_10.json`. Costs are fixed
 //! service waits rather than CPU burn, for the same reason as E11-E15:
 //! waits overlap regardless of host core count, so the bench measures the
-//! dispatch design, not the machine.
+//! dispatch design, not the machine. They show overlap, not speed.
 
 use legosdn::controller::app::RestoreError;
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
@@ -38,8 +24,7 @@ use std::time::{Duration, Instant};
 
 /// A PacketIn-subscribed local app with fixed event/snapshot service
 /// waits that installs one uniquely-tagged flow on ITS OWN switch per
-/// event — the E15 `ShardWorker`, with the event wait now a per-app
-/// parameter so a roster can be cost-skewed.
+/// event — the E15 `ShardWorker`.
 struct ShardWorker {
     name: String,
     dpid: DatapathId,
@@ -101,27 +86,12 @@ impl SdnApp for ShardWorker {
 const N_APPS: usize = 16;
 const SWITCHES: usize = 16; // one contention-free switch per app
 
-/// Per-app event-wait weights for the skewed roster, indexed by app id.
-/// Sum 48, laid out so the count-balanced attach round-robin stacks the
-/// four heaviest apps (ids 0, 4, 8, 12) on worker 0 — weight totals
-/// [24, 12, 7, 5] — while first-fit-decreasing over the measured costs
-/// deals near-[12, 12, 12, 12]: the gap the rebalancer must close, wide
-/// enough that the >10% migration gate clears even though every
-/// delivery also carries a fixed (weight-independent) overhead.
-const WEIGHTS: [u64; N_APPS] = [8, 4, 2, 1, 7, 3, 2, 1, 5, 3, 2, 1, 4, 2, 1, 2];
-const WEIGHT_UNIT: Duration = Duration::from_micros(100);
-
 // The E15 exhibit's constants, reproduced for the re-run.
 const E15_BURST: usize = 12;
 const E15_EVENT_WAIT: Duration = Duration::from_micros(400);
 const E15_SNAPSHOT_WAIT: Duration = Duration::from_micros(300);
 
-fn make_runtime(
-    workers: usize,
-    obs: Obs,
-    waits: impl Fn(usize) -> Duration,
-    snapshot_wait: Duration,
-) -> (LegoSdnRuntime, Network, Topology) {
+fn make_runtime(workers: usize) -> (LegoSdnRuntime, Network, Topology) {
     let topo = Topology::linear(SWITCHES, 1);
     let net = Network::new(&topo);
     let mut rt = LegoSdnRuntime::new(
@@ -130,7 +100,7 @@ fn make_runtime(
             dispatch: DispatchConfig::pipelined()
                 .window(E15_BURST)
                 .workers(workers),
-            obs: ObsConfig::instance(obs).trace_sample(0),
+            obs: ObsConfig::instance(Obs::new()).trace_sample(0),
             crashpad: CrashPadConfig {
                 checkpoints: CheckpointPolicy {
                     interval: 1, // pre-event snapshot on every delivery
@@ -152,8 +122,8 @@ fn make_runtime(
         rt.attach(Box::new(ShardWorker::new(
             i,
             SWITCHES,
-            waits(i),
-            snapshot_wait,
+            E15_EVENT_WAIT,
+            E15_SNAPSHOT_WAIT,
         )))
         .unwrap();
     }
@@ -169,8 +139,7 @@ fn inject_burst(net: &mut Network, topo: &Topology, burst: usize) {
 }
 
 /// Mean microseconds per burst cycle over `n` cycles, after `warm`
-/// warmup cycles (the skewed run needs a few for the cost EWMA to
-/// converge and the boundary rebalance to fire).
+/// warmup cycles.
 fn time_bursts(
     rt: &mut LegoSdnRuntime,
     net: &mut Network,
@@ -197,186 +166,13 @@ fn e15_rerun() -> (Vec<(usize, f64)>, f64) {
     let n = 20u32;
     let mut us = Vec::new();
     for &workers in &[1usize, 2, 4] {
-        let (mut rt, mut net, topo) =
-            make_runtime(workers, Obs::new(), |_| E15_EVENT_WAIT, E15_SNAPSHOT_WAIT);
+        let (mut rt, mut net, topo) = make_runtime(workers);
         let cycle_us = time_bursts(&mut rt, &mut net, &topo, E15_BURST, 3, n);
         rt.shutdown();
         us.push((workers, cycle_us));
     }
     let speedup = us[0].1 / us[2].1;
     (us, speedup)
-}
-
-/// The skewed roster on a many-small-cycle trace (4-event bursts).
-/// Returns (workers1 us/cycle, workers4 us/cycle, speedup, rebalances).
-fn skewed_run() -> (f64, f64, f64, u64) {
-    const BURST: usize = 4;
-    let n = 24u32;
-    let mut us = Vec::new();
-    let mut rebalances = 0;
-    for &workers in &[1usize, 4] {
-        let obs = Obs::new();
-        let (mut rt, mut net, topo) = make_runtime(
-            workers,
-            obs.clone(),
-            |i| WEIGHT_UNIT * u32::try_from(WEIGHTS[i]).unwrap(),
-            Duration::from_micros(100),
-        );
-        // 6 warmup cycles: enough for the (3x + new)/4 EWMA to rank the
-        // apps correctly and for the boundary rebalance to migrate them.
-        let cycle_us = time_bursts(&mut rt, &mut net, &topo, BURST, 6, n);
-        rt.shutdown();
-        if workers == 4 {
-            rebalances = obs.counter("core", "rebalance_count", "").get();
-        }
-        us.push(cycle_us);
-    }
-    (us[0], us[1], us[0] / us[1], rebalances)
-}
-
-/// The cross-cycle burst train: a hub whose floods hop a 6-switch chain,
-/// escorted by one costly worker per switch, so each injected burst
-/// arrives as six one-hop waves of packet-ins — each wave owned by a
-/// DIFFERENT app, and each wave only existing once the previous wave's
-/// flood commits land.
-///
-/// This is the shape cross-cycle windowing was built for: at
-/// `lookahead 1` the cycle ends after wave k even though wave k+1 is
-/// already sitting in the network queue, so wave k+1's owner idles a
-/// full cycle while wave k's owner works. The hub is attached first
-/// (global position 0), so its flood commit declares and lands as soon
-/// as its own collect is in — at `lookahead 2` the next wave's events
-/// are sent mid-cycle and the two owners' service waits overlap, because
-/// the waves' app sets are disjoint.
-mod train {
-    use super::*;
-
-    struct HopWorker {
-        name: String,
-        dpid: DatapathId,
-        acc: u64,
-    }
-
-    impl SdnApp for HopWorker {
-        fn name(&self) -> &str {
-            &self.name
-        }
-
-        fn subscriptions(&self) -> Vec<EventKind> {
-            vec![EventKind::PacketIn]
-        }
-
-        fn on_event(&mut self, event: &Event, _ctx: &mut Ctx<'_>) {
-            // Per-switch service cost: only this worker's own switch
-            // makes it pay the external lookup, so each hop wave has a
-            // single owner and waves have disjoint busy sets.
-            let Event::PacketIn(dpid, _) = event else {
-                return;
-            };
-            if *dpid != self.dpid {
-                return;
-            }
-            std::thread::sleep(OWNED_WAIT);
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.acc.wrapping_add(1);
-            for i in 0..256u32 {
-                h ^= u64::from(i);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            self.acc = h;
-        }
-
-        fn snapshot(&self) -> Vec<u8> {
-            self.acc.to_le_bytes().to_vec()
-        }
-
-        fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
-            let arr: [u8; 8] = bytes
-                .try_into()
-                .map_err(|_| RestoreError("bad snapshot".into()))?;
-            self.acc = u64::from_le_bytes(arr);
-            Ok(())
-        }
-    }
-
-    const HOPS: usize = 6; // switches in the chain = waves per train
-    const BURST: usize = 2; // packets injected per train
-    const OWNED_WAIT: Duration = Duration::from_micros(1500);
-
-    fn runtime(lookahead: usize) -> (LegoSdnRuntime, Network, Topology) {
-        let topo = Topology::linear(HOPS, 1);
-        let net = Network::new(&topo);
-        // Two worker shards: only the sharded scheduler extends the
-        // window concurrently with the drain (the single-worker path
-        // alternates drain and extension, so waves would serialize
-        // there no matter the lookahead).
-        let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
-            isolation: IsolationMode::Channel,
-            dispatch: DispatchConfig::pipelined()
-                .window(8)
-                .workers(2)
-                .lookahead(lookahead),
-            obs: ObsConfig::instance(Obs::new()),
-            crashpad: CrashPadConfig {
-                checkpoints: CheckpointPolicy {
-                    interval: 1,
-                    history: 2,
-                    ..CheckpointPolicy::default()
-                },
-                policies: PolicyTable::with_default(CompromisePolicy::Absolute),
-                transform_direction: TransformDirection::Decompose,
-            },
-            ..LegoSdnConfig::default()
-        });
-        // The hub's flood replies are what extend the window: each wave's
-        // packet-outs surface as the next switch's packet-ins mid-cycle.
-        // Attached first, the hub holds global position 0, so its commits
-        // never wait on the hop workers' collects.
-        rt.attach(Box::new(Hub::new())).unwrap();
-        for i in 0..HOPS {
-            rt.attach(Box::new(HopWorker {
-                name: format!("hop-worker-{i}"),
-                dpid: DatapathId(i as u64 + 1),
-                acc: 0,
-            }))
-            .unwrap();
-        }
-        (rt, net, topo)
-    }
-
-    fn inject(net: &mut Network, topo: &Topology, round: u64) {
-        let a = topo.hosts[0].mac;
-        for i in 0..BURST as u64 {
-            // Fresh unknown destinations every round, so the hub floods
-            // every hop of every train.
-            let dst = MacAddr::from_index(3_000 + round * 16 + i);
-            net.inject(a, Packet::ethernet(a, dst)).unwrap();
-        }
-    }
-
-    /// Mean microseconds per train at the given lookahead. Every train
-    /// gets `HOPS` run_cycle calls — enough to drain it at lookahead 1;
-    /// at lookahead 2 the later calls find the queue already empty and
-    /// cost next to nothing, which is exactly the win being measured.
-    pub fn time(lookahead: usize, n: u32) -> f64 {
-        let (mut rt, mut net, topo) = runtime(lookahead);
-        rt.run_cycle(&mut net); // handshake + discovery
-        for round in 0..3 {
-            inject(&mut net, &topo, round);
-            for _ in 0..HOPS {
-                rt.run_cycle(&mut net);
-            }
-        }
-        let start = Instant::now();
-        for round in 0..u64::from(n) {
-            inject(&mut net, &topo, 100 + round);
-            for _ in 0..HOPS {
-                rt.run_cycle(&mut net);
-            }
-        }
-        let us = start.elapsed().as_secs_f64() * 1e6 / f64::from(n);
-        rt.shutdown();
-        us
-    }
 }
 
 /// The E12 workload (4 isolated stub apps, 8-event bursts, interval-1
@@ -523,7 +319,7 @@ fn within_guard(name: &str, rerun: f64, recorded: f64) -> bool {
 }
 
 fn summary() {
-    // 1. The E15 workload, now load-balanced and declare-ahead.
+    // 1. The E15 workload, count-balanced and declare-ahead.
     let (e15_us, speedup4) = e15_rerun();
     let rows: Vec<Vec<String>> = e15_us
         .iter()
@@ -538,43 +334,13 @@ fn summary() {
     print_table(
         &format!(
             "E17: the E15 workload ({N_APPS} local apps x {E15_BURST}-event bursts) \
-             under load-aware placement + declare-ahead"
+             under count-balanced placement + declare-ahead"
         ),
         &["workers", "mean us/cycle", "speedup"],
         &rows,
     );
 
-    // 2. The skewed roster: rebalance has to earn the balance hash can't.
-    let (skew1, skew4, skew_speedup, rebalances) = skewed_run();
-    print_table(
-        "E17: skewed-cost roster (weights 8..1), 4-event cycles",
-        &["workers", "mean us/cycle", "speedup"],
-        &[
-            vec!["1".into(), format!("{skew1:.1}"), "1.00".into()],
-            vec![
-                "4".into(),
-                format!("{skew4:.1}"),
-                format!("{skew_speedup:.2}"),
-            ],
-        ],
-    );
-    eprintln!("skewed run: {rebalances} cycle-boundary rebalance(s)");
-
-    // 3. The cross-cycle burst train.
-    let n = 14u32;
-    let l1 = train::time(1, n);
-    let l2 = train::time(2, n);
-    let win = l1 / l2;
-    print_table(
-        "E17: 6-hop flood train, one channel-isolated owner per hop, window 8",
-        &["lookahead", "mean us/train", "win"],
-        &[
-            vec!["1".into(), format!("{l1:.1}"), "1.00".into()],
-            vec!["2".into(), format!("{l2:.1}"), format!("{win:.2}")],
-        ],
-    );
-
-    // 4. The E12 guard, compared against the recorded exhibit.
+    // 2. The E12 guard, compared against the recorded exhibit.
     let (e12_d1, e12_d8, e12_ratio) = e12_guard::depth_ratio();
     print_table(
         "E17 regression guard: E12 workload at one worker",
@@ -611,9 +377,6 @@ fn summary() {
     if speedup4 < 3.6 {
         eprintln!("WARNING: 4-worker speedup {speedup4:.2}x is below the 3.6x target");
     }
-    if win < 1.2 {
-        eprintln!("WARNING: cross-cycle win {win:.2}x is below the 1.2x target");
-    }
 
     let json = format!(
         "{{\n  \"exhibit\": \"dispatch_ceiling\",\n  \"apps\": {N_APPS},\n  \
@@ -623,23 +386,13 @@ fn summary() {
          \"workers2_us_per_cycle\": {:.1},\n  \
          \"workers4_us_per_cycle\": {:.1},\n  \
          \"speedup_4_workers\": {speedup4:.2},\n  \
-         \"skewed_workers1_us_per_cycle\": {skew1:.1},\n  \
-         \"skewed_workers4_us_per_cycle\": {skew4:.1},\n  \
-         \"skewed_speedup_4_workers\": {skew_speedup:.2},\n  \
-         \"skewed_rebalances\": {rebalances},\n  \
-         \"lookahead1_us_per_train\": {l1:.1},\n  \
-         \"lookahead2_us_per_train\": {l2:.1},\n  \
-         \"cross_cycle_win\": {win:.2},\n  \
          \"e12_depth1_us_per_cycle\": {e12_d1:.1},\n  \
          \"e12_depth8_us_per_cycle\": {e12_d8:.1},\n  \
          \"e12_speedup_workers1\": {e12_ratio:.2}\n}}\n",
         e15_us[0].1, e15_us[1].1, e15_us[2].1,
     );
     match std::fs::write("BENCH_10.json", &json) {
-        Ok(()) => eprintln!(
-            "wrote BENCH_10.json (4-worker speedup {speedup4:.2}x, skewed \
-             {skew_speedup:.2}x, cross-cycle win {win:.2}x)"
-        ),
+        Ok(()) => eprintln!("wrote BENCH_10.json (4-worker speedup {speedup4:.2}x)"),
         Err(e) => eprintln!("could not write BENCH_10.json: {e}"),
     }
     assert!(
@@ -651,7 +404,14 @@ fn summary() {
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e17_dispatch_ceiling");
     g.sample_size(5);
-    g.bench_function("train_lookahead2", |b| b.iter(|| train::time(2, 1)));
+    g.bench_function("e15_burst_workers4", |b| {
+        b.iter(|| {
+            let (mut rt, mut net, topo) = make_runtime(4);
+            let us = time_bursts(&mut rt, &mut net, &topo, E15_BURST, 0, 1);
+            rt.shutdown();
+            us
+        })
+    });
     g.finish();
 }
 

@@ -103,14 +103,12 @@ impl EndpointArgs {
     }
 }
 
-/// `--dispatch sequential|pipelined` / `--window DEPTH` / `--workers N` /
-/// `--lookahead CYCLES`: the runtime's dispatch shape, mirroring
-/// [`DispatchConfig`].
+/// `--dispatch sequential|pipelined` / `--window DEPTH` / `--workers N`:
+/// the runtime's dispatch shape, mirroring [`DispatchConfig`].
 pub struct DispatchArgs {
     pub mode: DispatchMode,
     pub window: usize,
     pub workers: usize,
-    pub lookahead: usize,
 }
 
 impl Default for DispatchArgs {
@@ -118,9 +116,8 @@ impl Default for DispatchArgs {
         let d = DispatchConfig::default();
         DispatchArgs {
             mode: d.mode,
-            window: d.window.depth,
+            window: d.window,
             workers: d.workers,
-            lookahead: d.lookahead_cycles,
         }
     }
 }
@@ -145,12 +142,6 @@ impl DispatchArgs {
                     return Err("--workers must be at least 1".into());
                 }
             }
-            "--lookahead" => {
-                self.lookahead = args.parsed()?;
-                if self.lookahead == 0 {
-                    return Err("--lookahead must be at least 1".into());
-                }
-            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -165,7 +156,6 @@ impl DispatchArgs {
         }
         .window(self.window)
         .workers(self.workers)
-        .lookahead(self.lookahead)
     }
 }
 
@@ -240,8 +230,6 @@ mod tests {
             "8",
             "--workers",
             "4",
-            "--lookahead",
-            "2",
             "--other",
         ]);
         let mut w = ArgWalker::new(&args);
@@ -254,19 +242,13 @@ mod tests {
         }
         let cfg = d.config();
         assert_eq!(cfg.mode, DispatchMode::Pipelined);
-        assert_eq!(cfg.window.depth, 8);
+        assert_eq!(cfg.window, 8);
         assert_eq!(cfg.workers, 4);
-        assert_eq!(cfg.lookahead_cycles, 2);
     }
 
     #[test]
     fn zero_counts_are_rejected() {
-        for flags in [
-            ["--window", "0"],
-            ["--workers", "0"],
-            ["--lookahead", "0"],
-            ["--io-threads", "0"],
-        ] {
+        for flags in [["--window", "0"], ["--workers", "0"], ["--io-threads", "0"]] {
             let args = argv(&flags);
             let mut w = ArgWalker::new(&args);
             let flag = w.next_flag().unwrap();

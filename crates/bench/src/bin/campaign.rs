@@ -70,7 +70,7 @@ const USAGE: &str = "usage: campaign [--addr HOST:PORT] [--addr-file PATH] \
 [--faults crash,blackhole,loop,flush] [--period-ms MS] \
 [--push-to HOST:PORT] [--campaign NAME] \
 [--dispatch sequential|pipelined] [--window DEPTH] [--workers N] \
-[--lookahead CYCLES] [--isolation local|channel|udp|tcp] \
+[--isolation local|channel|udp|tcp] \
 [--transport blocking|polled] [--io-threads N] [--trace-sample N]\n\
 --rounds 0 (default) serves forever. --addr 127.0.0.1:0 picks an \
 ephemeral port (written to --addr-file for scripts). --push-to exports \
@@ -80,9 +80,7 @@ DEPTH keeps up to DEPTH events of a cycle in flight on each stub's \
 stream (default 1; same network state either way, see DESIGN.md). \
 --workers N shards the apps across N worker threads, each running its \
 own window machinery; commits stay in the sequential order through the \
-shared commit barrier (default 1). --lookahead CYCLES lets the window \
-run ahead into events this cycle's commits enqueue, up to CYCLES times \
-the cycle's own event count (default 1: today's cycle boundary). \
+shared commit barrier (default 1). \
 --transport polled services every stub channel from a fixed pool of \
 poll threads instead of one blocking thread per stub; --io-threads N \
 sizes that pool (default 4; only meaningful with isolated modes). \
@@ -253,7 +251,7 @@ fn main() {
     eprintln!(
         "campaign: serving /metrics /metrics.json /incidents /traces /rollups /healthz on http://{} \
          ({} switches, policy {}, {} fault app(s), {:?}/{:?} dispatch, \
-         window {}, {} worker(s), lookahead {}, {:?} io, {})",
+         window {}, {} worker(s), {:?} io, {})",
         server.local_addr(),
         cfg.switches,
         cfg.policy,
@@ -262,7 +260,6 @@ fn main() {
         cfg.isolation,
         cfg.dispatch.window,
         cfg.dispatch.workers,
-        cfg.dispatch.lookahead,
         cfg.io.mode,
         if cfg.rounds == 0 {
             "until killed".to_string()

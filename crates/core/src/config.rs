@@ -94,76 +94,40 @@ impl DispatchMode {
     }
 }
 
-/// Cross-event window of the windowed engine: up to `depth` translated
-/// events are in flight to the isolated stubs at once. Each stub's RPC
-/// queue carries the deliveries (and any due checkpoint requests) in
-/// per-app event order, so an app never sees event *k+1* before it has
-/// answered *k*; gather and commit stay fully serialized in (event,
-/// attach) order, keeping network state, the NetLog txlog, and runtime
-/// counters bit-identical to `Sequential`. The depth only matters when
-/// the windowed engine runs — under [`DispatchMode::Pipelined`] with a
-/// stub in the roster or more than one worker; a Local-only,
-/// single-worker runtime ignores it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DispatchWindow {
-    /// Events in flight at once. `1` (the default) overlaps the stubs of
-    /// one event; values above 1 also overlap delivery of later events
-    /// with gather/commit of earlier ones.
-    pub depth: usize,
-}
-
-impl Default for DispatchWindow {
-    fn default() -> Self {
-        DispatchWindow { depth: 1 }
-    }
-}
-
-impl DispatchWindow {
-    /// A window of the given depth (clamped to at least 1; the sectioned
-    /// [`DispatchConfig::window`] setter instead leaves invalid depths
-    /// for [`LegoSdnConfig::build`] to reject).
-    #[must_use]
-    pub fn new(depth: usize) -> Self {
-        DispatchWindow {
-            depth: depth.max(1),
-        }
-    }
-}
-
 /// Event-dispatch section: strategy, cross-event window, worker shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchConfig {
     /// Strategy; see [`DispatchMode`].
     pub mode: DispatchMode,
-    /// Cross-event window of the windowed engine; see
-    /// [`DispatchWindow`] for when it applies.
-    pub window: DispatchWindow,
-    /// Worker shards: apps are partitioned across `workers` shards by a
-    /// load-aware balancer, each with its own AppVisor proxy, Crash-Pad,
-    /// and window machinery (DESIGN.md §13, §15). `1` (the default) runs
-    /// on the runtime's own thread. Values above 1 take effect under
+    /// Cross-event window depth of the windowed engine: up to `window`
+    /// translated events are in flight to the isolated stubs at once.
+    /// Each stub's RPC queue carries the deliveries (and any due
+    /// checkpoint requests) in per-app event order, so an app never sees
+    /// event *k+1* before it has answered *k*; commits stay in (event,
+    /// attach) order, keeping network state, the NetLog txlog, and
+    /// runtime counters bit-identical to `Sequential`. `1` (the default)
+    /// overlaps the stubs of one event; values above 1 also overlap
+    /// delivery of later events with gather/commit of earlier ones. The
+    /// depth only matters when the windowed engine runs — under
+    /// [`DispatchMode::Pipelined`] with a stub in the roster or more
+    /// than one worker; a Local-only, single-worker runtime ignores it.
+    pub window: usize,
+    /// Worker shards: apps are partitioned across `workers` shards,
+    /// each with its own AppVisor proxy, Crash-Pad, and window machinery
+    /// (DESIGN.md §13). `1` (the default) runs on the runtime's own
+    /// thread. Values above 1 take effect under
     /// [`DispatchMode::Pipelined`], where they always select the windowed
     /// engine — even for a Local-only roster — and commit through the
     /// cross-shard barrier, bit-identical to the sequential reference.
     pub workers: usize,
-    /// Cross-cycle windowing: one `run_cycle` call may consume follow-on
-    /// events triggered by its own commits, up to `lookahead_cycles ×`
-    /// the cycle's initial event count, instead of draining the window
-    /// at every cycle boundary (DESIGN.md §15). `1` (the default) is
-    /// today's behavior — a cycle processes exactly the events queued
-    /// when it started. Applies identically in every dispatch mode, so
-    /// sharded runs stay bit-identical to the sequential reference at
-    /// the same lookahead.
-    pub lookahead_cycles: usize,
 }
 
 impl Default for DispatchConfig {
     fn default() -> Self {
         DispatchConfig {
             mode: DispatchMode::default(),
-            window: DispatchWindow::default(),
+            window: 1,
             workers: 1,
-            lookahead_cycles: 1,
         }
     }
 }
@@ -191,7 +155,7 @@ impl DispatchConfig {
     /// by [`LegoSdnConfig::build`].
     #[must_use]
     pub fn window(mut self, depth: usize) -> Self {
-        self.window = DispatchWindow { depth };
+        self.window = depth;
         self
     }
 
@@ -200,14 +164,6 @@ impl DispatchConfig {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Set the cross-cycle lookahead budget. Not clamped: 0 is rejected
-    /// by [`LegoSdnConfig::build`].
-    #[must_use]
-    pub fn lookahead(mut self, lookahead_cycles: usize) -> Self {
-        self.lookahead_cycles = lookahead_cycles;
         self
     }
 }
@@ -329,15 +285,12 @@ impl ObsConfig {
 /// What [`LegoSdnConfig::build`] rejects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `dispatch.window.depth == 0`: a window must hold at least one event.
+    /// `dispatch.window == 0`: a window must hold at least one event.
     ZeroWindowDepth,
     /// `io.mode == Polled { io_threads: 0 }`: the poll pool needs a thread.
     ZeroIoThreads,
     /// `dispatch.workers == 0`: at least one worker shard must exist.
     ZeroWorkers,
-    /// `dispatch.lookahead_cycles == 0`: a cycle must be allowed to
-    /// process at least its own events.
-    ZeroLookahead,
     /// `obs.trace_sample > 0` with `obs.enabled == false`: traces would
     /// record into a throwaway instance nobody can read.
     TraceWithObsDisabled,
@@ -346,12 +299,9 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroWindowDepth => write!(f, "dispatch.window.depth must be at least 1"),
+            ConfigError::ZeroWindowDepth => write!(f, "dispatch.window must be at least 1"),
             ConfigError::ZeroIoThreads => write!(f, "io polled mode needs at least 1 io thread"),
             ConfigError::ZeroWorkers => write!(f, "dispatch.workers must be at least 1"),
-            ConfigError::ZeroLookahead => {
-                write!(f, "dispatch.lookahead_cycles must be at least 1")
-            }
             ConfigError::TraceWithObsDisabled => {
                 write!(f, "trace_sample > 0 requires observability enabled")
             }
@@ -420,14 +370,11 @@ impl LegoSdnConfig {
     /// panicking or silently clamping at use sites. Also stamps
     /// `io.proxy.io` from `io.mode`, so the two can never disagree.
     pub fn build(mut self) -> Result<Self, ConfigError> {
-        if self.dispatch.window.depth == 0 {
+        if self.dispatch.window == 0 {
             return Err(ConfigError::ZeroWindowDepth);
         }
         if self.dispatch.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
-        }
-        if self.dispatch.lookahead_cycles == 0 {
-            return Err(ConfigError::ZeroLookahead);
         }
         if let IoMode::Polled { io_threads } = self.io.mode {
             if io_threads == 0 {
@@ -455,12 +402,8 @@ mod tests {
         // and the runtime stays single-worker until the operator widens
         // them.
         assert_eq!(c.dispatch.mode, DispatchMode::Pipelined);
-        assert_eq!(c.dispatch.window, DispatchWindow { depth: 1 });
+        assert_eq!(c.dispatch.window, 1);
         assert_eq!(c.dispatch.workers, 1);
-        assert_eq!(
-            c.dispatch.lookahead_cycles, 1,
-            "default lookahead drains the window at each cycle boundary"
-        );
         assert_eq!(c.io.mode, IoMode::Blocking);
         assert_eq!(c.netlog_mode, TxMode::Immediate);
         assert!(c.checker.is_some());
@@ -483,7 +426,7 @@ mod tests {
         }
         .build()
         .unwrap();
-        assert_eq!(c.dispatch.window.depth, 8);
+        assert_eq!(c.dispatch.window, 8);
         assert_eq!(c.dispatch.workers, 4);
         assert_eq!(c.io.mode, IoMode::Polled { io_threads: 2 });
         // build() stamps the proxy's io field from the section mode.
@@ -506,15 +449,6 @@ mod tests {
             ..LegoSdnConfig::default()
         };
         assert_eq!(zero_workers.build().unwrap_err(), ConfigError::ZeroWorkers);
-
-        let zero_lookahead = LegoSdnConfig {
-            dispatch: DispatchConfig::pipelined().lookahead(0),
-            ..LegoSdnConfig::default()
-        };
-        assert_eq!(
-            zero_lookahead.build().unwrap_err(),
-            ConfigError::ZeroLookahead
-        );
 
         let zero_io = LegoSdnConfig {
             io: IoConfig::polled(0),
@@ -544,7 +478,6 @@ mod tests {
             ConfigError::ZeroWindowDepth,
             ConfigError::ZeroIoThreads,
             ConfigError::ZeroWorkers,
-            ConfigError::ZeroLookahead,
             ConfigError::TraceWithObsDisabled,
         ] {
             assert!(!e.to_string().is_empty());

@@ -32,7 +32,7 @@ use crate::config::{DispatchMode, IsolationMode, LegoSdnConfig, ResourceLimits};
 use crate::host::{Host, ProxyAdapter};
 use crate::workers::{
     commit_outcome, select_app, AppRecord, CommitLane, GateCache, ShardApp, ShardCtx, ShardRouter,
-    SlotStore, WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
+    WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
 };
 use legosdn_appvisor::{AppVisorProxy, TransportKind};
 use legosdn_controller::app::SdnApp;
@@ -43,7 +43,7 @@ use legosdn_invariants::Checker;
 use legosdn_netlog::{CommitBarrier, NetLog};
 use legosdn_obs::{Obs, TraceId};
 use legosdn_openflow::prelude::Message;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -178,16 +178,6 @@ pub struct LegoSdnRuntime {
     /// cycles (an Add displacing a notify-flagged entry would enqueue a
     /// `FlowRemoved` out of order).
     notify_flows_seen: bool,
-    /// Per-app-name dispatch-cost EWMA (nanoseconds), integrated from
-    /// the `dispatch_app_ns` histograms the workers feed. Drives the
-    /// load-aware shard balancer (DESIGN.md §15). Placement is
-    /// residue-independent (commits are admitted in global position
-    /// order), so this timing-derived signal cannot perturb the
-    /// determinism contract.
-    cost_ewma: HashMap<String, u64>,
-    /// Last-seen (sum, count) per `dispatch_app_ns` histogram, so each
-    /// EWMA update integrates only the newest observations.
-    cost_prev: HashMap<String, (u64, u64)>,
 }
 
 impl LegoSdnRuntime {
@@ -240,8 +230,6 @@ impl LegoSdnRuntime {
             trace_seen: 0,
             txid_cursor: 1,
             notify_flows_seen: false,
-            cost_ewma: HashMap::new(),
-            cost_prev: HashMap::new(),
             config,
         }
     }
@@ -275,10 +263,9 @@ impl LegoSdnRuntime {
     }
 
     /// Attach an app with specific resource limits (paper §3.4). The app
-    /// lands on the least-loaded shard by the dispatch-cost EWMA
-    /// (deterministic tie-break: fewest apps, then lowest worker id) —
-    /// with no cost signal yet, that is a pure count-balanced
-    /// round-robin, so the same roster shards the same way on every run.
+    /// lands on the shard with the fewest apps, lowest worker id on ties
+    /// — a count-balanced round-robin, so the same roster shards the
+    /// same way on every run. Apps never move after attach.
     pub fn attach_with_limits(
         &mut self,
         app: Box<dyn SdnApp>,
@@ -288,14 +275,7 @@ impl LegoSdnRuntime {
         let subscriptions = app.subscriptions();
         let global = self.router.len();
         let worker = (0..self.shards.len())
-            .min_by_key(|&w| {
-                let load: u64 = self.shards[w]
-                    .apps
-                    .iter()
-                    .map(|a| self.cost_ewma.get(&a.rec.name).copied().unwrap_or(0))
-                    .sum();
-                (load, self.shards[w].apps.len(), w)
-            })
+            .min_by_key(|&w| (self.shards[w].apps.len(), w))
             .unwrap_or(0);
         let shard = &mut self.shards[worker];
         let host = match self.config.isolation {
@@ -443,30 +423,26 @@ impl LegoSdnRuntime {
 
     /// Drain network events, translate, and dispatch under full protection.
     ///
-    /// The raws queued when the cycle starts are the burst; with
-    /// `lookahead_cycles > 1` the pure follow-on raws this cycle's own
-    /// commits enqueue join it (DESIGN.md §15). Under
-    /// [`DispatchMode::Pipelined`] the windowed engine dispatches them
-    /// when the roster has a stub or the runtime has more than one
+    /// The raws queued when the cycle starts are the burst; events the
+    /// cycle's own commits enqueue wait for the next cycle. Under
+    /// [`DispatchMode::Pipelined`] the windowed engine dispatches the
+    /// burst when the roster has a stub or the runtime has more than one
     /// shard; otherwise — and always under [`DispatchMode::Sequential`]
     /// — each raw's events dispatch before the next raw is translated
     /// (the sequential oracle).
     pub fn run_cycle(&mut self, net: &mut Network) -> LegoCycleReport {
         let _span = self.obs.span("core.run_cycle");
         let started = Instant::now();
-        // Placement changes only ever land here, at a cycle boundary —
-        // never while a window is in flight.
-        self.rebalance_shards();
         self.stats.cycles += 1;
         let mut report = LegoCycleReport::default();
-        let mut feed = RawFeed::new(net.poll_events(), self.config.dispatch.lookahead_cycles);
+        let burst = net.poll_events();
         if self.windowed() {
-            self.dispatch_windowed(net, &mut feed, Vec::new(), &mut report);
+            self.dispatch_windowed(net, burst.into(), Vec::new(), &mut report);
         } else {
             let tx_cycle_base = self.txid_cursor;
             // Every earlier event has committed by the time the oracle
-            // asks for the next raw, so impure raws translate in place.
-            while let Some(raw) = feed.next(net, report.events, true) {
+            // translates the next raw, so impure raws translate in place.
+            for raw in burst {
                 for (ev, trace) in translator_cx!(self).translate(net, raw) {
                     self.dispatch_sequential(net, &ev, trace, &mut report, tx_cycle_base);
                 }
@@ -477,152 +453,9 @@ impl LegoSdnRuntime {
         report
     }
 
-    /// Integrate the newest `dispatch_app_ns` observations into the
-    /// per-app-name cost EWMA (integer, 3/4 old + 1/4 new).
-    fn refresh_app_costs(&mut self) {
-        let names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.apps.iter().map(|a| a.rec.name.clone()))
-            .collect();
-        for name in names {
-            let h = self.obs.histogram("core", "dispatch_app_ns", &name);
-            let (sum, count) = (h.sum(), h.count());
-            let (psum, pcount) = self.cost_prev.get(&name).copied().unwrap_or((0, 0));
-            if count > pcount {
-                let avg = sum.saturating_sub(psum) / (count - pcount);
-                let e = self.cost_ewma.entry(name.clone()).or_insert(avg);
-                *e = (*e * 3 + avg) / 4;
-                self.cost_prev.insert(name, (sum, count));
-            }
-        }
-    }
-
-    /// Load-aware shard re-balance (DESIGN.md §15): refresh the per-app
-    /// cost EWMA, export per-worker load gauges, and — when a
-    /// first-fit-decreasing plan improves the bottleneck load by more
-    /// than 10% — migrate apps (with their Crash-Pad checkpoint state)
-    /// between shards. Movable apps are Local-hosted ones whose name is
-    /// unique in the roster: checkpoint state is keyed by app name, and
-    /// stubs are pinned to the proxy that launched them. Runs only at
-    /// cycle start, so placement never changes under a live window, and
-    /// commits stay admitted in global position order regardless of
-    /// placement — the residue is placement-independent.
-    fn rebalance_shards(&mut self) {
-        let workers = self.shards.len();
-        if workers < 2 {
-            return;
-        }
-        self.refresh_app_costs();
-        let current: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.apps
-                    .iter()
-                    .map(|a| self.cost_ewma.get(&a.rec.name).copied().unwrap_or(0))
-                    .sum()
-            })
-            .collect();
-        for (w, &load) in current.iter().enumerate() {
-            self.obs
-                .gauge("core", "worker_load", &format!("w{w}"))
-                .set(i64::try_from(load).unwrap_or(i64::MAX));
-        }
-        let cur_max = current.iter().copied().max().unwrap_or(0);
-        if cur_max == 0 {
-            return;
-        }
-        let mut name_counts: HashMap<String, usize> = HashMap::new();
-        for s in &self.shards {
-            for a in &s.apps {
-                *name_counts.entry(a.rec.name.clone()).or_insert(0) += 1;
-            }
-        }
-        let mut movable: Vec<(u64, usize)> = Vec::new();
-        let mut planned = vec![0u64; workers];
-        let mut counts = vec![0usize; workers];
-        for (w, s) in self.shards.iter().enumerate() {
-            for a in &s.apps {
-                let cost = self.cost_ewma.get(&a.rec.name).copied().unwrap_or(0);
-                if name_counts.get(&a.rec.name) == Some(&1) && matches!(a.rec.host, Host::Local(_))
-                {
-                    movable.push((cost, a.global));
-                } else {
-                    planned[w] += cost;
-                    counts[w] += 1;
-                }
-            }
-        }
-        if movable.is_empty() {
-            return;
-        }
-        // First-fit decreasing with deterministic tie-breaks: heaviest
-        // app first (attach order breaks cost ties), each onto the
-        // least-loaded worker (fewest planned apps, then lowest id,
-        // break load ties).
-        movable.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut target: Vec<(usize, usize)> = Vec::new();
-        for &(cost, global) in &movable {
-            let w = (0..workers)
-                .min_by_key(|&w| (planned[w], counts[w], w))
-                .unwrap_or(0);
-            planned[w] += cost;
-            counts[w] += 1;
-            target.push((global, w));
-        }
-        let new_max = planned.iter().copied().max().unwrap_or(0);
-        // Migration shuffles checkpoint state and cache affinity;
-        // demand a real (>10%) win on the bottleneck load.
-        if new_max.saturating_mul(10) >= cur_max.saturating_mul(9) {
-            return;
-        }
-        let mut moved = false;
-        for (global, to) in target {
-            let (from, local) = self
-                .shards
-                .iter()
-                .enumerate()
-                .find_map(|(w, s)| {
-                    s.apps
-                        .iter()
-                        .position(|a| a.global == global)
-                        .map(|l| (w, l))
-                })
-                .expect("movable app is attached");
-            if from == to {
-                continue;
-            }
-            let app = self.shards[from].apps.remove(local);
-            let name = app.rec.name.clone();
-            if let Some(state) = self.shards[from].crashpad.checkpoints.extract(&name) {
-                self.shards[to].crashpad.checkpoints.adopt(&name, state);
-            }
-            // Keep each shard's roster sorted by global attach index —
-            // the windowed sweep relies on local order == global order.
-            let at = self.shards[to]
-                .apps
-                .iter()
-                .position(|a| a.global > global)
-                .unwrap_or(self.shards[to].apps.len());
-            self.shards[to].apps.insert(at, app);
-            moved = true;
-        }
-        if !moved {
-            return;
-        }
-        self.router.rebuild(&self.shards);
-        for (w, s) in self.shards.iter().enumerate() {
-            self.obs
-                .gauge("core", "worker_apps", &format!("w{w}"))
-                .set(i64::try_from(s.apps.len()).unwrap_or(i64::MAX));
-        }
-        self.obs.counter("core", "rebalance_count", "").inc();
-    }
-
     /// Deliver a Tick to subscribed apps, on the same engine
-    /// [`LegoSdnRuntime::run_cycle`] would pick: a one-slot window with
-    /// no lookahead, or the oracle loop.
+    /// [`LegoSdnRuntime::run_cycle`] would pick: a one-slot window, or
+    /// the oracle loop.
     pub fn tick_apps(&mut self, net: &mut Network) -> LegoCycleReport {
         let _span = self.obs.span("core.tick_apps");
         let started = Instant::now();
@@ -638,8 +471,7 @@ impl LegoSdnRuntime {
                 now: net.now(),
                 trace,
             };
-            let mut feed = RawFeed::new(Vec::new(), 1);
-            self.dispatch_windowed(net, &mut feed, vec![slot], &mut report);
+            self.dispatch_windowed(net, VecDeque::new(), vec![slot], &mut report);
         } else {
             let tx_cycle_base = self.txid_cursor;
             self.dispatch_sequential(net, &ev, trace, &mut report, tx_cycle_base);
@@ -674,28 +506,31 @@ impl LegoSdnRuntime {
         self.obs.trace_scope(None);
     }
 
-    /// Cross-event window scheduler (DESIGN.md §10, sharded per §13,
-    /// cross-cycle per §15): up to `dispatch.window.depth` slots are in
-    /// flight per worker at once. Each worker runs the two-cursor
-    /// fill/commit machinery over its own shard's apps; commits
-    /// synchronize through the [`CommitBarrier`] in global (event,
-    /// attach) position order — or overtake it on the provably-disjoint
-    /// fastpath — so network state, the txlog, and runtime counters stay
-    /// bit-identical to the sequential reference.
+    /// Cross-event window scheduler (DESIGN.md §10, sharded per §13):
+    /// up to `dispatch.window` slots are in flight per worker at once.
+    /// Each worker runs the two-cursor fill/commit machinery over its
+    /// own shard's apps; commits synchronize through the
+    /// [`CommitBarrier`] in global (event, attach) position order — or
+    /// overtake it on the provably-disjoint fastpath — so network state,
+    /// the txlog, and runtime counters stay bit-identical to the
+    /// sequential reference.
     ///
-    /// `seed` slots start the window; `feed` grows it while commits are
-    /// in flight. A pure raw translates as soon as it is fed; an impure
-    /// one (see [`extendable`]) only once every earlier slot has
-    /// committed, because its translation reads the network those
-    /// commits write.
+    /// One drain/fill loop serves every worker count. Each round, every
+    /// shard's [`WorkerRun`] drains the slots appended so far — inline at
+    /// one worker, on one scoped thread per shard otherwise — and then
+    /// [`fill_window`] appends what `burst` now allows. A pure raw
+    /// translates as soon as it is reached; an impure one (see [`pure`])
+    /// only once every earlier slot has committed, because its
+    /// translation reads the network those commits write. The loop stops
+    /// when a fill appends nothing.
     fn dispatch_windowed(
         &mut self,
         net: &mut Network,
-        feed: &mut RawFeed,
-        seed: Vec<WindowSlot>,
+        mut burst: VecDeque<NetEvent>,
+        mut slots: Vec<WindowSlot>,
         report: &mut LegoCycleReport,
     ) {
-        let depth = self.config.dispatch.window.depth.max(1);
+        let depth = self.config.dispatch.window.max(1);
         let n_apps = self.router.len();
         let sharded = self.shards.len() > 1;
         // The fastpath needs commit-time effects to be exactly the
@@ -705,12 +540,7 @@ impl LegoSdnRuntime {
         // forces full ordering.
         let fastpath = sharded && self.checker.is_none() && !self.notify_flows_seen;
         let barrier = CommitBarrier::new(fastpath);
-        let tx_cycle_base = self.txid_cursor;
-        let checker = self.checker.as_ref();
-        let shutdown_on_no_compromise = self.config.shutdown_network_on_no_compromise;
-        let obs = self.obs.clone();
-        report.events += seed.len();
-        let store = SlotStore::new(seed);
+        report.events += slots.len();
         let mut bt = translator_cx!(self);
         let lane = Mutex::new(CommitLane {
             net,
@@ -718,33 +548,33 @@ impl LegoSdnRuntime {
             gate: &mut self.gate,
             notify_seen: false,
         });
-        // Nothing is in flight yet, so the first fill may translate an
-        // impure raw.
-        fill_window(&mut bt, feed, &lane, &store, store.len(), report);
-        if store.len() == 0 {
+        // Nothing has committed yet: an impure raw may translate only if
+        // no slot was seeded ahead of it.
+        fill_window(&mut bt, &mut burst, &lane, &mut slots, 0, report);
+        if slots.is_empty() {
             return;
         }
         self.obs
             .gauge("core", "window_depth", "")
             .set(i64::try_from(depth).unwrap_or(i64::MAX));
-        let worker_run = |shard, sharded| {
-            let shard: &mut WorkerShard = shard;
-            WorkerRun {
+        let mut runs: Vec<WorkerRun> = self
+            .shards
+            .iter_mut()
+            .map(|shard| WorkerRun {
                 wl: if sharded {
                     format!("w{}", shard.id)
                 } else {
                     String::new()
                 },
                 shard,
-                store: &store,
                 barrier: &barrier,
                 lane: &lane,
-                obs: obs.clone(),
-                checker,
-                shutdown_on_no_compromise,
+                obs: self.obs.clone(),
+                checker: self.checker.as_ref(),
+                shutdown_on_no_compromise: self.config.shutdown_network_on_no_compromise,
                 depth,
                 n_apps,
-                tx_cycle_base,
+                tx_cycle_base: self.txid_cursor,
                 sharded,
                 stats: RuntimeStats::default(),
                 report: LegoCycleReport::default(),
@@ -752,82 +582,37 @@ impl LegoSdnRuntime {
                 inflight: Vec::new(),
                 next_send: 0,
                 commit_pos: 0,
-            }
-        };
-        let mut deltas: Vec<(RuntimeStats, LegoCycleReport)> =
-            Vec::with_capacity(self.shards.len());
-        if !sharded {
-            let mut run = worker_run(&mut self.shards[0], false);
-            // Drain/fill alternation: each run() commits every slot the
-            // store holds, so each fill may translate impure raws too.
-            loop {
-                run.run();
-                if fill_window(&mut bt, feed, &lane, &store, store.len(), report) == 0 {
-                    break;
-                }
-            }
-            deltas.push((run.stats, run.report));
-        } else {
-            let fillable = !feed.exhausted(report.events);
-            if !fillable {
-                // The window can never grow: close up front so workers
-                // drain it and exit without parking.
-                store.close();
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .map(|shard| {
-                        let worker_run = &worker_run;
+            })
+            .collect();
+        loop {
+            if sharded {
+                let slots = &slots;
+                std::thread::scope(|scope| {
+                    for run in &mut runs {
                         std::thread::Builder::new()
-                            .name(format!("lego-worker-{}", shard.id))
-                            .spawn_scoped(scope, move || {
-                                let mut run = worker_run(shard, true);
-                                run.run();
-                                (run.stats, run.report)
-                            })
-                            .expect("spawn worker thread")
-                    })
-                    .collect();
-                if fillable {
-                    // Fill loop. The commit cursor is read BEFORE each
-                    // fill attempt, so a commit landing between the
-                    // fill and the wait advances the cursor past the
-                    // snapshot and `wait_cursor_past` returns
-                    // immediately — the close can never be missed.
-                    // Deadlock-free: workers take the barrier before
-                    // the lane, and this thread never holds the lane
-                    // while waiting on the barrier.
-                    loop {
-                        let cursor = barrier.cursor();
-                        let settled = match n_apps {
-                            0 => store.len(),
-                            n => usize::try_from(cursor).unwrap_or(usize::MAX) / n,
-                        };
-                        if fill_window(&mut bt, feed, &lane, &store, settled, report) > 0 {
-                            continue;
-                        }
-                        if settled >= store.len() {
-                            break;
-                        }
-                        barrier.wait_cursor_past(cursor);
+                            .name(format!("lego-worker-{}", run.shard.id))
+                            .spawn_scoped(scope, move || run.run(slots))
+                            .expect("spawn worker thread");
                     }
-                    store.close();
-                }
-                for handle in handles {
-                    deltas.push(handle.join().expect("worker thread panicked"));
-                }
-            });
+                });
+            } else {
+                runs[0].run(&slots);
+            }
+            // Every slot so far has committed, so the fill may translate
+            // an impure raw first.
+            let committed = slots.len();
+            if fill_window(&mut bt, &mut burst, &lane, &mut slots, committed, report) == 0 {
+                break;
+            }
+        }
+        for run in runs {
+            self.stats.absorb(&run.stats);
+            report.commands += run.report.commands;
+            report.recoveries += run.report.recoveries;
+            report.byzantine_blocked += run.report.byzantine_blocked;
         }
         let lane = lane.into_inner().expect("commit lane poisoned");
         self.notify_flows_seen |= lane.notify_seen;
-        for (stats, delta) in deltas {
-            self.stats.absorb(&stats);
-            report.commands += delta.commands;
-            report.recoveries += delta.recoveries;
-            report.byzantine_blocked += delta.byzantine_blocked;
-        }
         let bs = barrier.stats();
         self.obs
             .counter("netlog", "barrier_fastpath_commits", "")
@@ -856,30 +641,24 @@ impl LegoSdnRuntime {
         let now = net.now();
         let (w, l) = self.router.loc(global);
         let result = {
-            let shard = &mut self.shards[w];
-            let name = shard.apps[l].rec.name.clone();
-            match &mut shard.apps[l].rec.host {
-                Host::Local(sandbox) => shard.crashpad.dispatch(
-                    sandbox,
-                    &name,
-                    event,
-                    &self.translator.topology,
-                    &self.translator.devices,
-                    now,
-                ),
+            let WorkerShard {
+                proxy,
+                crashpad,
+                apps,
+                ..
+            } = &mut self.shards[w];
+            let rec = &mut apps[l].rec;
+            let (topo, dev) = (&self.translator.topology, &self.translator.devices);
+            match &mut rec.host {
+                Host::Local(sandbox) => {
+                    crashpad.dispatch(sandbox, &rec.name, event, topo, dev, now)
+                }
                 Host::Isolated(handle) => {
                     let mut adapter = ProxyAdapter {
-                        proxy: &mut shard.proxy,
+                        proxy,
                         handle: *handle,
                     };
-                    shard.crashpad.dispatch(
-                        &mut adapter,
-                        &name,
-                        event,
-                        &self.translator.topology,
-                        &self.translator.devices,
-                        now,
-                    )
+                    crashpad.dispatch(&mut adapter, &rec.name, event, topo, dev, now)
                 }
             }
         };
@@ -916,30 +695,24 @@ impl LegoSdnRuntime {
         let Some((w, l)) = self.router.get(id.0) else {
             return Err(legosdn_crashpad::DiagnoseError::NoHistory);
         };
-        let shard = &mut self.shards[w];
-        let name = shard.apps[l].rec.name.clone();
-        match &mut shard.apps[l].rec.host {
-            Host::Local(sandbox) => shard.crashpad.diagnose(
-                sandbox,
-                &name,
-                offending,
-                &self.translator.topology,
-                &self.translator.devices,
-                now,
-            ),
+        let WorkerShard {
+            proxy,
+            crashpad,
+            apps,
+            ..
+        } = &mut self.shards[w];
+        let rec = &mut apps[l].rec;
+        let (topo, dev) = (&self.translator.topology, &self.translator.devices);
+        match &mut rec.host {
+            Host::Local(sandbox) => {
+                crashpad.diagnose(sandbox, &rec.name, offending, topo, dev, now)
+            }
             Host::Isolated(handle) => {
                 let mut adapter = ProxyAdapter {
-                    proxy: &mut shard.proxy,
+                    proxy,
                     handle: *handle,
                 };
-                shard.crashpad.diagnose(
-                    &mut adapter,
-                    &name,
-                    offending,
-                    &self.translator.topology,
-                    &self.translator.devices,
-                    now,
-                )
+                crashpad.diagnose(&mut adapter, &rec.name, offending, topo, dev, now)
             }
         }
     }
@@ -991,63 +764,12 @@ use legosdn_netsim::{NetEvent, Network};
 /// `PortStatus` probes ports and drains the net queue; `SwitchConnected`
 /// handshakes (feature replies, port probes). Both read and write the
 /// network the in-flight commits write, so the windowed engine
-/// translates either one only once every earlier slot has committed,
-/// and the lookahead extension stops at either one.
-fn extendable(raw: &NetEvent) -> bool {
+/// translates either one only once every earlier slot has committed.
+fn pure(raw: &NetEvent) -> bool {
     match raw {
         NetEvent::FromSwitch(_, msg) => !matches!(msg, Message::PortStatus(_)),
         NetEvent::SwitchDisconnected(_) => true,
         NetEvent::SwitchConnected(_) => false,
-    }
-}
-
-/// The raws one dispatch call may translate: the burst queued when the
-/// cycle started, then — up to `lookahead` bursts' worth of events — the
-/// pure prefix of what the cycle's own commits enqueue. Both engines
-/// draw from it, so they consume the same raws at matching lookahead.
-struct RawFeed {
-    burst: VecDeque<NetEvent>,
-    lookahead: usize,
-    /// Event cap of the lookahead extension, fixed when the burst runs
-    /// out. Checked before each raw pop, so one raw translating to
-    /// several events may overshoot it.
-    cap: Option<usize>,
-}
-
-impl RawFeed {
-    fn new(burst: Vec<NetEvent>, lookahead: usize) -> Self {
-        RawFeed {
-            burst: burst.into(),
-            lookahead: lookahead.max(1),
-            cap: None,
-        }
-    }
-
-    /// The next raw to translate, or `None` when nothing may be
-    /// translated now. `translated` counts the call's events so far;
-    /// `settled` says every one of them has committed. Event-producing
-    /// commits are always barrier-Ordered, so the net queue grows in
-    /// commit-position order and popping its pure prefix incrementally
-    /// yields exactly what a post-drain batch pop would.
-    fn next(&mut self, net: &mut Network, translated: usize, settled: bool) -> Option<NetEvent> {
-        if let Some(raw) = self.burst.front() {
-            if !settled && !extendable(raw) {
-                return None;
-            }
-            return self.burst.pop_front();
-        }
-        let cap = *self
-            .cap
-            .get_or_insert(translated.saturating_mul(self.lookahead));
-        if translated >= cap || !net.peek_event().is_some_and(extendable) {
-            return None;
-        }
-        net.pop_event()
-    }
-
-    /// Whether the feed can never yield another raw.
-    fn exhausted(&self, translated: usize) -> bool {
-        self.burst.is_empty() && self.cap.is_some_and(|cap| translated >= cap)
     }
 }
 
@@ -1104,46 +826,40 @@ impl BurstTranslator<'_> {
     }
 }
 
-/// Grow the window: pop raws off `feed` (under a brief lane lock —
+/// Grow the window: pop raws off the burst (under a brief lane lock —
 /// commits and translation serialize on the same network), translate
 /// them with the translator's views snapshotted per event, and append
-/// the slots to the store. `settled` is how many leading slots have
-/// committed. Returns how many slots were appended; 0 means the feed
-/// has nothing it may translate now.
+/// the slots. `committed` is how many leading slots have committed; an
+/// impure raw waits while any slot after them is uncommitted. Returns
+/// how many slots were appended; 0 means nothing may be translated now.
 fn fill_window(
     bt: &mut BurstTranslator<'_>,
-    feed: &mut RawFeed,
+    burst: &mut VecDeque<NetEvent>,
     lane: &Mutex<CommitLane<'_>>,
-    store: &SlotStore,
-    settled: usize,
+    slots: &mut Vec<WindowSlot>,
+    committed: usize,
     report: &mut LegoCycleReport,
 ) -> usize {
-    let mut appended = 0;
-    loop {
-        let mut out = Vec::new();
-        {
-            let mut guard = lane.lock().expect("commit lane poisoned");
-            let net: &mut Network = guard.net;
-            let all_settled = store.len() <= settled;
-            let Some(raw) = feed.next(net, report.events, all_settled) else {
-                return appended;
-            };
-            for (event, trace) in bt.translate(net, raw) {
-                out.push(WindowSlot {
-                    event,
-                    topology: bt.translator.topology.clone(),
-                    devices: bt.translator.devices.clone(),
-                    now: net.now(),
-                    trace,
-                });
-            }
+    let mut lane = lane.lock().expect("commit lane poisoned");
+    let net: &mut Network = lane.net;
+    let before = slots.len();
+    while let Some(raw) = burst.front() {
+        if slots.len() > committed && !pure(raw) {
+            break;
         }
-        for slot in out {
-            report.events += 1;
-            store.append(slot);
-            appended += 1;
+        let raw = burst.pop_front().expect("peeked");
+        for (event, trace) in bt.translate(net, raw) {
+            slots.push(WindowSlot {
+                event,
+                topology: bt.translator.topology.clone(),
+                devices: bt.translator.devices.clone(),
+                now: net.now(),
+                trace,
+            });
         }
     }
+    report.events += slots.len() - before;
+    slots.len() - before
 }
 
 #[cfg(test)]
@@ -1373,8 +1089,8 @@ mod tests {
         for _ in 0..6 {
             ids.push(rt.attach(Box::new(Hub::new())).unwrap());
         }
-        // Six identically-named apps spread over more than one shard (the
-        // ordinal is hashed in), and the router reports their homes.
+        // Six identically-named apps spread over more than one shard
+        // (fewest apps first), and the router reports their homes.
         let spread: std::collections::BTreeSet<usize> =
             ids.iter().map(|&id| rt.worker_of(id).unwrap()).collect();
         assert!(spread.len() > 1, "apps never spread across workers");

@@ -1,14 +1,13 @@
 //! Worker shards: the runtime's per-worker half (DESIGN.md §13, §15).
 //!
-//! The runtime partitions attached apps across N worker shards with a
-//! load-aware balancer: least-loaded placement at attach, and a
-//! cost-EWMA re-balance pass at cycle boundaries (never mid-window).
-//! Each shard owns a private AppVisor proxy (its stubs and, under polled
-//! I/O, its poll pool) and a private Crash-Pad, so the per-app dispatch
-//! path never crosses a shard boundary. The network and the NetLog stay
-//! shared: every commit goes through one [`CommitLane`] guarded by a
-//! mutex, admitted in sequential order (or provably-safe fastpath order)
-//! by the [`legosdn_netlog::CommitBarrier`].
+//! The runtime partitions attached apps across N worker shards: each app
+//! lands on the shard with the fewest apps (lowest id on ties) at attach,
+//! and stays there. Each shard owns a private AppVisor proxy (its stubs
+//! and, under polled I/O, its poll pool) and a private Crash-Pad, so the
+//! per-app dispatch path never crosses a shard boundary. The network and
+//! the NetLog stay shared: every commit goes through one [`CommitLane`]
+//! guarded by a mutex, admitted in sequential order (or provably-safe
+//! fastpath order) by the [`legosdn_netlog::CommitBarrier`].
 //!
 //! Determinism contract: a position's transaction ids are derived from
 //! the position itself (`tx_base + pos * TXS_PER_POS + sub`), never from
@@ -31,7 +30,7 @@ use legosdn_netlog::{CommitBarrier, NetLog, TxId, TxMode, TxTouch};
 use legosdn_netsim::{Network, SimTime};
 use legosdn_obs::{Counter, Obs, TraceId};
 use legosdn_openflow::prelude::{DatapathId, FlowModCommand, Message};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Transaction-id stride per commit position. Each (event, app) position
@@ -59,7 +58,7 @@ pub(crate) struct ShardApp {
 }
 
 /// One worker's slice of the runtime: a private proxy and Crash-Pad plus
-/// the apps hashed onto it, in global attach order.
+/// the apps placed on it, in global attach order.
 pub(crate) struct WorkerShard {
     pub(crate) id: usize,
     pub(crate) proxy: AppVisorProxy,
@@ -88,18 +87,6 @@ impl ShardRouter {
 
     pub(crate) fn get(&self, global: usize) -> Option<(usize, usize)> {
         self.dir.get(global).copied()
-    }
-
-    /// Rewrite the whole directory from the shards' current rosters.
-    /// A re-balance migration shifts the local indices of every app
-    /// behind the one that moved, so patching single entries is never
-    /// enough — the directory is rebuilt wholesale.
-    pub(crate) fn rebuild(&mut self, shards: &[WorkerShard]) {
-        for (worker, shard) in shards.iter().enumerate() {
-            for (local, app) in shard.apps.iter().enumerate() {
-                self.dir[app.global] = (worker, local);
-            }
-        }
     }
 }
 
@@ -136,68 +123,6 @@ pub(crate) struct WindowEntry {
     /// When the delivery was queued (feeds the per-event queue-latency
     /// histogram at collect time).
     pub(crate) queued_at: Instant,
-}
-
-/// A growable, shareable window of translated events. The runtime seeds
-/// it with the cycle's initial burst and — when `lookahead_cycles`
-/// allows — appends follow-on events triggered by commits while the
-/// workers are still draining the window (DESIGN.md §15). Workers index
-/// it by slot number; `Arc` hands each worker a stable view of a slot
-/// without holding the store lock across dispatch work.
-pub(crate) struct SlotStore {
-    state: Mutex<StoreState>,
-    cv: Condvar,
-}
-
-struct StoreState {
-    slots: Vec<Arc<WindowSlot>>,
-    closed: bool,
-}
-
-impl SlotStore {
-    pub(crate) fn new(initial: Vec<WindowSlot>) -> Self {
-        Self {
-            state: Mutex::new(StoreState {
-                slots: initial.into_iter().map(Arc::new).collect(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().expect("slot store poisoned").slots.len()
-    }
-
-    pub(crate) fn get(&self, i: usize) -> Arc<WindowSlot> {
-        Arc::clone(&self.state.lock().expect("slot store poisoned").slots[i])
-    }
-
-    /// Append one slot and wake every worker parked in [`wait_beyond`].
-    ///
-    /// [`wait_beyond`]: SlotStore::wait_beyond
-    pub(crate) fn append(&self, slot: WindowSlot) {
-        let mut st = self.state.lock().expect("slot store poisoned");
-        st.slots.push(Arc::new(slot));
-        self.cv.notify_all();
-    }
-
-    /// Mark the window complete: no further appends will come.
-    pub(crate) fn close(&self) {
-        let mut st = self.state.lock().expect("slot store poisoned");
-        st.closed = true;
-        self.cv.notify_all();
-    }
-
-    /// Block until the store grows past `known` slots (`Some(new_len)`)
-    /// or is closed with nothing beyond them (`None`).
-    pub(crate) fn wait_beyond(&self, known: usize) -> Option<usize> {
-        let mut st = self.state.lock().expect("slot store poisoned");
-        while st.slots.len() <= known && !st.closed {
-            st = self.cv.wait(st).expect("slot store poisoned");
-        }
-        (st.slots.len() > known).then_some(st.slots.len())
-    }
 }
 
 /// The shared commit lane: the one place network effects happen. Workers
@@ -662,24 +587,24 @@ pub(crate) fn mark_dead(
 }
 
 /// One worker's execution of a cycle's window: the fill → collect →
-/// commit machinery of DESIGN.md §10 over a growable [`SlotStore`],
+/// commit machinery of DESIGN.md §10 over the runtime's slot list,
 /// scoped to the shard's apps, with every commit admitted by the shared
 /// [`CommitBarrier`].
 ///
-/// The same engine runs the single-worker configuration (inline on the
-/// runtime's thread, `sharded == false`, so each [`run`] call drains
-/// what the store holds and returns for more) and the multi-worker one
-/// (on `lego-worker-N` scoped threads, `sharded == true`, so workers
-/// park in the store until the runtime closes it). Recorder scopes are per-thread, so
-/// both configurations record full flight-recorder traces. Stats and
-/// the cycle report accumulate into worker-local zero-initialized
-/// deltas the runtime merges after the cycle — identical totals at any
-/// worker count.
+/// A run persists across the rounds of one dispatch call. Each [`run`]
+/// call drains every slot the runtime has appended so far and returns;
+/// the runtime then fills more and calls again. The single-worker
+/// configuration calls it inline on the runtime's thread; the
+/// multi-worker one (`sharded == true`) calls every shard's run on its
+/// own `lego-worker-N` scoped thread per round. Recorder scopes are
+/// per-thread, so both configurations record full flight-recorder
+/// traces. Stats and the cycle report accumulate into worker-local
+/// zero-initialized deltas the runtime merges after the cycle —
+/// identical totals at any worker count.
 ///
 /// [`run`]: WorkerRun::run
 pub(crate) struct WorkerRun<'env, 'net> {
     pub(crate) shard: &'env mut WorkerShard,
-    pub(crate) store: &'env SlotStore,
     pub(crate) barrier: &'env CommitBarrier,
     pub(crate) lane: &'env Mutex<CommitLane<'net>>,
     pub(crate) obs: Obs,
@@ -690,23 +615,16 @@ pub(crate) struct WorkerRun<'env, 'net> {
     pub(crate) n_apps: usize,
     /// First transaction id of the cycle (position 0, sub 0).
     pub(crate) tx_cycle_base: u64,
-    /// Sharded workers run on their own threads: when caught up with
-    /// the store they park in [`SlotStore::wait_beyond`] for more slots
-    /// (fed by the runtime's fill loop) instead of returning to the
-    /// caller (single-worker drain mode, where the caller alternates
-    /// draining with filling).
+    /// More than one shard: local sandboxes deliver before the slot's
+    /// barrier interaction (see [`WorkerRun::commit_slot`]).
     pub(crate) sharded: bool,
     /// Worker label for span histograms: empty when single-worker (the
     /// runtime's historical metric names), `"wN"` per worker otherwise.
     pub(crate) wl: String,
     pub(crate) stats: RuntimeStats,
     pub(crate) report: LegoCycleReport,
-    /// Cross-call window state (single-worker drain mode re-enters
-    /// [`run`] after each extension): speculative in-flight entries per
-    /// slot, uncollected deliveries per app, and the fill/commit
-    /// cursors.
-    ///
-    /// [`run`]: WorkerRun::run
+    /// Cross-round window state: speculative in-flight entries per slot,
+    /// uncollected deliveries per app, and the fill/commit cursors.
     pub(crate) pending: Vec<Vec<WindowEntry>>,
     pub(crate) inflight: Vec<u64>,
     pub(crate) next_send: usize,
@@ -737,49 +655,31 @@ impl WorkerRun<'_, '_> {
         (slot * self.n_apps + self.shard.apps[local].global) as u64
     }
 
-    /// Run the window over this shard's apps: drain every slot the
-    /// store currently holds (and, when sharded, every slot the runtime
-    /// appends until it closes the store).
-    pub(crate) fn run(&mut self) {
+    /// Drain the window over this shard's apps: send and commit every
+    /// slot in `slots` not yet committed.
+    pub(crate) fn run(&mut self, slots: &[WindowSlot]) {
         let mut pending = std::mem::take(&mut self.pending);
         let mut inflight = std::mem::take(&mut self.inflight);
-        if inflight.len() < self.shard.apps.len() {
-            inflight.resize(self.shard.apps.len(), 0);
-        }
-        let mut next_send = self.next_send;
-        let mut commit_pos = self.commit_pos;
-        loop {
-            let len = self.store.len();
-            if commit_pos >= len {
-                if !self.sharded {
-                    break;
-                }
-                match self.store.wait_beyond(len) {
-                    Some(_) => continue,
-                    None => break,
-                }
-            }
-            if pending.len() < len {
-                pending.resize_with(len, Vec::new);
-            }
+        inflight.resize(self.shard.apps.len(), 0);
+        pending.resize_with(slots.len(), Vec::new);
+        while self.commit_pos < slots.len() {
             {
                 let _span = self.obs.span_labeled("core.window_fill", &self.wl);
-                while next_send < len && next_send < commit_pos + self.depth {
-                    pending[next_send] = self.send_slot(next_send, &mut inflight);
-                    next_send += 1;
+                while self.next_send < slots.len() && self.next_send < self.commit_pos + self.depth
+                {
+                    pending[self.next_send] = self.send_slot(slots, self.next_send, &mut inflight);
+                    self.next_send += 1;
                 }
             }
             {
                 let _span = self.obs.span_labeled("core.window_commit", &self.wl);
-                self.commit_slot(commit_pos, next_send, &mut pending, &mut inflight);
+                self.commit_slot(slots, &mut pending, &mut inflight);
             }
-            commit_pos += 1;
+            self.commit_pos += 1;
         }
         self.scope(None);
         self.pending = pending;
         self.inflight = inflight;
-        self.next_send = next_send;
-        self.commit_pos = commit_pos;
     }
 
     /// Speculatively select and queue one slot's deliveries to the
@@ -787,8 +687,13 @@ impl WorkerRun<'_, '_> {
     /// effects (dispatch counters, event budgets, suspension) apply at
     /// send time and are rolled back entry-by-entry if a failure on an
     /// earlier slot cancels the entry.
-    fn send_slot(&mut self, s: usize, inflight: &mut [u64]) -> Vec<WindowEntry> {
-        let slot = self.store.get(s);
+    fn send_slot(
+        &mut self,
+        slots: &[WindowSlot],
+        s: usize,
+        inflight: &mut [u64],
+    ) -> Vec<WindowEntry> {
+        let slot = &slots[s];
         self.scope(slot.trace);
         let kind = slot.event.kind();
         let mut entries = Vec::new();
@@ -799,7 +704,7 @@ impl WorkerRun<'_, '_> {
             if !select_app(&mut self.cx(), local, kind) {
                 continue;
             }
-            entries.push(self.queue_one(local, &slot, inflight));
+            entries.push(self.queue_one(local, slot, inflight));
         }
         entries
     }
@@ -810,23 +715,22 @@ impl WorkerRun<'_, '_> {
     /// deliveries *k* and *k+1* captures the state after *k* — exactly
     /// the pre-event checkpoint the sequential protocol takes.
     fn queue_one(&mut self, local: usize, slot: &WindowSlot, inflight: &mut [u64]) -> WindowEntry {
-        let Host::Isolated(handle) = &self.shard.apps[local].rec.host else {
+        let shard = &mut *self.shard;
+        let rec = &shard.apps[local].rec;
+        let Host::Isolated(handle) = &rec.host else {
             unreachable!("windowed entries are stub-only");
         };
         let handle = *handle;
-        let name = self.shard.apps[local].rec.name.clone();
-        let snap = if self
-            .shard
+        let snap = if shard
             .crashpad
             .checkpoints
-            .checkpoint_due_ahead(&name, inflight[local])
+            .checkpoint_due_ahead(&rec.name, inflight[local])
         {
-            self.shard.proxy.queue_snapshot(handle).ok().flatten()
+            shard.proxy.queue_snapshot(handle).ok().flatten()
         } else {
             None
         };
-        let seq = self
-            .shard
+        let seq = shard
             .proxy
             .queue_deliver(handle, &slot.event, &slot.topology, &slot.devices, slot.now)
             .ok()
@@ -841,9 +745,10 @@ impl WorkerRun<'_, '_> {
         }
     }
 
-    /// Commit one slot: sweep the shard's apps in local (= global) order,
-    /// settling each position exactly once — a collected stub entry, an
-    /// inline local-sandbox dispatch, or an elision at the barrier.
+    /// Commit the slot at the commit cursor: sweep the shard's apps in
+    /// local (= global) order, settling each position exactly once — a
+    /// collected stub entry, an inline local-sandbox dispatch, or an
+    /// elision at the barrier.
     ///
     /// When sharded, every selected local sandbox's (snapshot, deliver,
     /// gather) runs *before* any barrier interaction. Deliveries read the
@@ -857,12 +762,12 @@ impl WorkerRun<'_, '_> {
     /// and each declaration waits on that worker's previous settle).
     fn commit_slot(
         &mut self,
-        commit_pos: usize,
-        next_send: usize,
+        slots: &[WindowSlot],
         pending: &mut [Vec<WindowEntry>],
         inflight: &mut [u64],
     ) {
-        let slot = self.store.get(commit_pos);
+        let commit_pos = self.commit_pos;
+        let slot = &slots[commit_pos];
         self.scope(slot.trace);
         let kind = slot.event.kind();
         let entries = std::mem::take(&mut pending[commit_pos]);
@@ -873,7 +778,7 @@ impl WorkerRun<'_, '_> {
                 if matches!(self.shard.apps[local].rec.host, Host::Local(_))
                     && select_app(&mut self.cx(), local, kind)
                 {
-                    let result = self.deliver_local(local, &slot);
+                    let result = self.deliver_local(local, slot);
                     eager.push_back((local, result));
                 }
             }
@@ -888,12 +793,11 @@ impl WorkerRun<'_, '_> {
             if entries.peek().is_some_and(|e| e.local == local) {
                 let entry = entries.next().expect("peeked");
                 inflight[local] -= 1;
-                let (result, failed) =
-                    self.harvest_entry(entry, &slot, commit_pos, pending, inflight);
-                self.declare_or_queue(local, commit_pos, &slot, result, true, failed, &mut settles);
+                let (result, failed) = self.harvest_entry(entry, slots, pending, inflight);
+                self.declare_or_queue(local, slot, result, true, failed, &mut settles);
             } else if eager.front().is_some_and(|e| e.0 == local) {
                 let (_, result) = eager.pop_front().expect("peeked");
-                self.declare_or_queue(local, commit_pos, &slot, result, false, false, &mut settles);
+                self.declare_or_queue(local, slot, result, false, false, &mut settles);
             } else {
                 let selected = !self.sharded
                     && matches!(self.shard.apps[local].rec.host, Host::Local(_))
@@ -902,16 +806,8 @@ impl WorkerRun<'_, '_> {
                     // A local sandbox has no stub to overlap with: it
                     // runs inline at commit, against the slot's
                     // captured views.
-                    let result = self.deliver_local(local, &slot);
-                    self.declare_or_queue(
-                        local,
-                        commit_pos,
-                        &slot,
-                        result,
-                        false,
-                        false,
-                        &mut settles,
-                    );
+                    let result = self.deliver_local(local, slot);
+                    self.declare_or_queue(local, slot, result, false, false, &mut settles);
                 } else {
                     self.barrier.finish_empty(self.pos_of(commit_pos, local));
                 }
@@ -923,17 +819,17 @@ impl WorkerRun<'_, '_> {
         for (local, result, is_stub, failed) in settles {
             let byz_before = self.stats.byzantine_blocked;
             if let Some(result) = result {
-                self.settle_declared(local, commit_pos, &slot, result);
+                self.settle_declared(local, slot, result);
             }
             let byz_recovered = self.stats.byzantine_blocked > byz_before;
             if is_stub && byz_recovered && !failed {
                 // Byzantine caught at commit: the app was restored
                 // mid-stream, so its queued later deliveries ran from
                 // the wrong state.
-                self.cancel_app(local, commit_pos, pending, inflight);
+                self.cancel_app(local, slots, pending, inflight);
             }
             if is_stub && (failed || byz_recovered) {
-                self.resend_app(local, commit_pos, next_send, pending, inflight);
+                self.resend_app(local, slots, pending, inflight);
                 // The resend loop re-scoped the recorder to the
                 // refilled slots; later settles still belong here.
                 self.scope(slot.trace);
@@ -945,101 +841,98 @@ impl WorkerRun<'_, '_> {
     /// gather/recover) against the slot's captured views, without
     /// touching the barrier.
     fn deliver_local(&mut self, local: usize, slot: &WindowSlot) -> DispatchResult {
-        let name = self.shard.apps[local].rec.name.clone();
-        let started = Instant::now();
-        let result = {
-            let obs = self.obs.clone();
-            let Host::Local(sandbox) = &mut self.shard.apps[local].rec.host else {
-                unreachable!("checked by the caller");
-            };
-            self.shard.crashpad.prepare(sandbox, &name);
-            obs.trace_event("send", &name, "local");
-            let delivery = sandbox.deliver(&slot.event, &slot.topology, &slot.devices, slot.now);
-            obs.trace_event("collect", &name, delivery_label(&delivery));
-            self.shard.crashpad.complete(
-                sandbox,
-                &name,
-                &slot.event,
-                delivery,
-                &slot.topology,
-                &slot.devices,
-                slot.now,
-            )
+        let WorkerShard { crashpad, apps, .. } = &mut *self.shard;
+        let rec = &mut apps[local].rec;
+        let Host::Local(sandbox) = &mut rec.host else {
+            unreachable!("checked by the caller");
         };
-        // Per-app dispatch cost, fed back to the runtime's load-aware
-        // re-balancer (DESIGN.md §15).
+        crashpad.prepare(sandbox, &rec.name);
+        self.obs.trace_event("send", &rec.name, "local");
+        let delivery = sandbox.deliver(&slot.event, &slot.topology, &slot.devices, slot.now);
         self.obs
-            .histogram("core", "dispatch_app_ns", &name)
-            .observe(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        result
+            .trace_event("collect", &rec.name, delivery_label(&delivery));
+        crashpad.complete(
+            sandbox,
+            &rec.name,
+            &slot.event,
+            delivery,
+            &slot.topology,
+            &slot.devices,
+            slot.now,
+        )
     }
 
-    /// Collect and gather one in-flight (event, app) entry: snapshot
-    /// collect, delivery collect, failure-path cancellation (before
-    /// recovery restores the app, so the RPC stream is clean when
-    /// replay begins), and the Crash-Pad's completion/recovery.
-    /// Returns the dispatch outcome plus whether the delivery failed;
-    /// settling happens later, after the whole slot has declared.
+    /// Collect and gather one in-flight (event, app) entry at the commit
+    /// cursor: snapshot collect, delivery collect, failure-path
+    /// cancellation (before recovery restores the app, so the RPC stream
+    /// is clean when replay begins), and the Crash-Pad's
+    /// completion/recovery. Returns the dispatch outcome plus whether
+    /// the delivery failed; settling happens later, after the whole slot
+    /// has declared.
     fn harvest_entry(
         &mut self,
         entry: WindowEntry,
-        slot: &WindowSlot,
-        commit_pos: usize,
+        slots: &[WindowSlot],
         pending: &mut [Vec<WindowEntry>],
         inflight: &mut [u64],
     ) -> (DispatchResult, bool) {
         let local = entry.local;
-        let name = self.shard.apps[local].rec.name.clone();
-
-        // The snapshot queued before this delivery: collect and book it.
-        // The recorded duration is the wait the proxy actually paid here —
-        // near zero when the stub answered while the window was busy,
-        // which is the cost this scheduler exists to hide.
-        if let Some(tag) = entry.snap {
-            let waited = Instant::now();
-            if let Ok(bytes) = self.shard.proxy.collect_snapshot(entry.handle, tag) {
-                let dur_ns = u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.shard.crashpad.record_prepared(&name, bytes, dur_ns);
+        let delivery = {
+            let WorkerShard {
+                proxy,
+                crashpad,
+                apps,
+                ..
+            } = &mut *self.shard;
+            // The snapshot queued before this delivery: collect and book
+            // it. The recorded duration is the wait the proxy actually
+            // paid here — near zero when the stub answered while the
+            // window was busy, which is the cost this scheduler exists
+            // to hide.
+            if let Some(tag) = entry.snap {
+                let waited = Instant::now();
+                if let Ok(bytes) = proxy.collect_snapshot(entry.handle, tag) {
+                    let dur_ns = u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    crashpad.record_prepared(&apps[local].rec.name, bytes, dur_ns);
+                }
             }
-        }
-
-        self.shard.crashpad.note_dispatch();
-        let delivery = match entry.seq {
-            Some(seq) => outcome_to_delivery(self.shard.proxy.collect_deliver(entry.handle, seq)),
-            None => DeliveryResult::CommFailure,
+            crashpad.note_dispatch();
+            match entry.seq {
+                Some(seq) => outcome_to_delivery(proxy.collect_deliver(entry.handle, seq)),
+                None => DeliveryResult::CommFailure,
+            }
         };
         let queue_ns = u64::try_from(entry.queued_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.obs
             .histogram("core", "window_queue_ns", &self.wl)
-            .observe(queue_ns);
-        // Queue latency doubles as the stub's load signal for the
-        // runtime's re-balancer: a stub that keeps the window waiting
-        // is a stub worth spreading away from its shard-mates.
-        self.obs
-            .histogram("core", "dispatch_app_ns", &name)
             .observe(queue_ns);
 
         let failed = !matches!(delivery, DeliveryResult::Ok(_));
         if failed {
             // Cancel this app's queued later deliveries BEFORE recovery
             // restores it, so the RPC stream is clean when replay begins.
-            self.cancel_app(local, commit_pos, pending, inflight);
+            self.cancel_app(local, slots, pending, inflight);
         }
-        let result = {
-            let mut adapter = ProxyAdapter {
-                proxy: &mut self.shard.proxy,
-                handle: entry.handle,
-            };
-            self.shard.crashpad.complete(
-                &mut adapter,
-                &name,
-                &slot.event,
-                delivery,
-                &slot.topology,
-                &slot.devices,
-                slot.now,
-            )
+        let WorkerShard {
+            proxy,
+            crashpad,
+            apps,
+            ..
+        } = &mut *self.shard;
+        let mut adapter = ProxyAdapter {
+            proxy,
+            handle: entry.handle,
         };
+        let slot = &slots[self.commit_pos];
+        let result = crashpad.complete(
+            &mut adapter,
+            &apps[local].rec.name,
+            &slot.event,
+            delivery,
+            &slot.topology,
+            &slot.devices,
+            slot.now,
+        );
         (result, failed)
     }
 
@@ -1048,18 +941,16 @@ impl WorkerRun<'_, '_> {
     /// positions are queued for the settle sweep; elided failed stubs
     /// are queued too (result already settled) so the settle sweep
     /// still repairs their window.
-    #[allow(clippy::too_many_arguments)]
     fn declare_or_queue(
         &mut self,
         local: usize,
-        commit_pos: usize,
         slot: &WindowSlot,
         result: DispatchResult,
         is_stub: bool,
         failed: bool,
         settles: &mut Vec<(usize, Option<DispatchResult>, bool, bool)>,
     ) {
-        let pos = self.pos_of(commit_pos, local);
+        let pos = self.pos_of(self.commit_pos, local);
         if !lane_need(&self.cx(), local, &slot.event, &result) {
             let mut cx = ShardCtx {
                 shard: &mut *self.shard,
@@ -1090,14 +981,8 @@ impl WorkerRun<'_, '_> {
 
     /// Settle one already-declared position: wait for admission and run
     /// the commit inside the shared lane.
-    fn settle_declared(
-        &mut self,
-        local: usize,
-        commit_pos: usize,
-        slot: &WindowSlot,
-        result: DispatchResult,
-    ) {
-        let pos = self.pos_of(commit_pos, local);
+    fn settle_declared(&mut self, local: usize, slot: &WindowSlot, result: DispatchResult) {
+        let pos = self.pos_of(self.commit_pos, local);
         let _admission = self.barrier.acquire(pos);
         {
             let mut lane = self.lane.lock().expect("commit lane poisoned");
@@ -1122,20 +1007,19 @@ impl WorkerRun<'_, '_> {
         self.barrier.release(pos);
     }
 
-    /// Drop an app's in-flight entries beyond `commit_pos` and roll back
-    /// their speculative selection, so re-selection sees exactly the
-    /// post-recovery state sequential dispatch would.
+    /// Drop an app's in-flight entries beyond the commit cursor and roll
+    /// back their speculative selection, so re-selection sees exactly
+    /// the post-recovery state sequential dispatch would.
     fn cancel_app(
         &mut self,
         local: usize,
-        commit_pos: usize,
+        slots: &[WindowSlot],
         pending: &mut [Vec<WindowEntry>],
         inflight: &mut [u64],
     ) {
-        let name = self.shard.apps[local].rec.name.clone();
         let mut tags = Vec::new();
         let mut handle = None;
-        for (s, slot_entries) in pending.iter_mut().enumerate().skip(commit_pos + 1) {
+        for (s, slot_entries) in pending.iter_mut().enumerate().skip(self.commit_pos + 1) {
             if let Some(pos) = slot_entries.iter().position(|e| e.local == local) {
                 let e = slot_entries.remove(pos);
                 tags.extend(e.snap);
@@ -1149,9 +1033,13 @@ impl WorkerRun<'_, '_> {
                 inflight[local] -= 1;
                 // The cancellation belongs to the *cancelled* event's
                 // timeline, not the failed one currently in scope.
-                if let Some(tid) = self.store.get(s).trace {
-                    self.obs
-                        .trace_event_for(tid, "cancel", &name, "crash_upstream");
+                if let Some(tid) = slots[s].trace {
+                    self.obs.trace_event_for(
+                        tid,
+                        "cancel",
+                        &self.shard.apps[local].rec.name,
+                        "crash_upstream",
+                    );
                 }
             }
         }
@@ -1167,18 +1055,17 @@ impl WorkerRun<'_, '_> {
     fn resend_app(
         &mut self,
         local: usize,
-        commit_pos: usize,
-        next_send: usize,
+        slots: &[WindowSlot],
         pending: &mut [Vec<WindowEntry>],
         inflight: &mut [u64],
     ) {
         for (s, pend) in pending
             .iter_mut()
             .enumerate()
-            .take(next_send)
-            .skip(commit_pos + 1)
+            .take(self.next_send)
+            .skip(self.commit_pos + 1)
         {
-            let slot = self.store.get(s);
+            let slot = &slots[s];
             // Re-queued work records into the re-sent event's trace.
             self.scope(slot.trace);
             if !select_app(&mut self.cx(), local, slot.event.kind()) {
@@ -1186,7 +1073,7 @@ impl WorkerRun<'_, '_> {
             }
             self.obs
                 .trace_event("resend", &self.shard.apps[local].rec.name, "requeued");
-            let entry = self.queue_one(local, &slot, inflight);
+            let entry = self.queue_one(local, slot, inflight);
             let pos = pend
                 .iter()
                 .position(|e| e.local > local)

@@ -238,25 +238,7 @@ impl CheckpointStore {
     pub fn forget(&mut self, app: &str) {
         self.apps.remove(app);
     }
-
-    /// Remove an app's checkpoint bookkeeping for migration to another
-    /// store (the load balancer moving an app between worker shards).
-    /// `None` if the app has no state here.
-    pub fn extract(&mut self, app: &str) -> Option<AppMigration> {
-        self.apps.remove(app).map(AppMigration)
-    }
-
-    /// Adopt bookkeeping extracted from another store. Replaces any state
-    /// this store already holds for the app.
-    pub fn adopt(&mut self, app: &str, migration: AppMigration) {
-        self.apps.insert(app.to_string(), migration.0);
-    }
 }
-
-/// Opaque per-app checkpoint state in transit between two
-/// [`CheckpointStore`]s — see [`CheckpointStore::extract`].
-#[derive(Clone, Debug)]
-pub struct AppMigration(AppCheckpoints);
 
 #[cfg(test)]
 mod tests {
@@ -438,22 +420,5 @@ mod tests {
         store.record_snapshot("a", vec![1]);
         store.forget("a");
         assert!(store.recovery_plan("a").is_none());
-    }
-
-    #[test]
-    fn extract_and_adopt_move_state_between_stores() {
-        let mut from = CheckpointStore::new(CheckpointPolicy::default());
-        from.record_snapshot("a", vec![0xaa]);
-        from.record_delivered("a", &ev(1));
-        let migration = from.extract("a").unwrap();
-        assert!(from.recovery_plan("a").is_none(), "source forgot the app");
-        assert!(from.extract("ghost").is_none());
-
-        let mut to = CheckpointStore::new(CheckpointPolicy::default());
-        to.adopt("a", migration);
-        assert_eq!(to.events_delivered("a"), 1);
-        let plan = to.recovery_plan("a").unwrap();
-        assert_eq!(plan.snapshot.bytes, vec![0xaa]);
-        assert_eq!(plan.replay, vec![ev(1)]);
     }
 }

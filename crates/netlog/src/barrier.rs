@@ -279,26 +279,6 @@ impl CommitBarrier {
     pub fn stats(&self) -> BarrierStats {
         self.state.lock().unwrap().stats
     }
-
-    /// The current cursor: every position below it is done. The sharded
-    /// runtime's extension loop reads this to learn how far the commit
-    /// sweep has drained without blocking.
-    #[must_use]
-    pub fn cursor(&self) -> u64 {
-        self.state.lock().unwrap().cursor
-    }
-
-    /// Block until the cursor advances past `prev` (i.e. becomes
-    /// `> prev`), returning the new cursor. Completes, releases, and
-    /// elisions all notify, so a caller that read `cursor() == prev`,
-    /// found no other work, and then waits here cannot miss an advance.
-    pub fn wait_cursor_past(&self, prev: u64) -> u64 {
-        let mut st = self.state.lock().unwrap();
-        while st.cursor <= prev {
-            st = self.cv.wait(st).unwrap();
-        }
-        st.cursor
-    }
 }
 
 #[cfg(test)]

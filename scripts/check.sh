@@ -33,7 +33,7 @@ timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1
   || { echo "polled campaign smoke run failed or hung" >&2; exit 1; }
 
 # The full failure/recovery campaign again, sharded across 4 worker
-# threads: stable-hash partitioning, the cross-shard commit barrier,
+# threads: count-balanced placement, the cross-shard commit barrier,
 # and scoped worker threads must survive crash/replay under the same
 # hard timeout (the determinism suite proves the output identical;
 # this proves the daemon path wires it up).
@@ -41,15 +41,6 @@ echo "==> campaign smoke under sharded dispatch (--workers 4)"
 timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1 \
   --dispatch pipelined --isolation channel --window 4 --workers 4 \
   || { echo "sharded campaign smoke run failed or hung" >&2; exit 1; }
-
-# Sharded dispatch with the send cursor running ahead across cycle
-# boundaries: load-aware rebalancing, declare-ahead commits, and
-# cross-cycle cancellation all live on this path, so the full
-# failure/recovery story must hold with lookahead enabled too.
-echo "==> campaign smoke under cross-cycle lookahead (--workers 4 --lookahead 2)"
-timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1 \
-  --dispatch pipelined --isolation channel --window 4 --workers 4 --lookahead 2 \
-  || { echo "lookahead campaign smoke run failed or hung" >&2; exit 1; }
 
 # Scrape one path from a live endpoint over bash's /dev/tcp (curl may be
 # absent), under a hard timeout so a wedged responder fails fast.
@@ -193,5 +184,15 @@ REACTIVE="$(timeout 300 cargo run --release --offline --quiet --manifest-path st
   || { echo "stackbench reactive_local failed or hung" >&2; exit 1; }
 echo "$REACTIVE" | grep -q '"correct": true' \
   || { echo "stackbench reactive_local residue diverged from sequential" >&2; exit 1; }
+
+# Link-flap churn with a crashing LearningSwitch: topology events,
+# Crash-Pad recovery and replay must leave the residue of a sequential
+# replay of the same seed.
+echo "==> stackbench flap_crash smoke (hard 300s timeout)"
+FLAP="$(timeout 300 cargo run --release --offline --quiet --manifest-path stackbench/Cargo.toml -- \
+  --workload flap_crash --seconds 2 --seed 7)" \
+  || { echo "stackbench flap_crash failed or hung" >&2; exit 1; }
+echo "$FLAP" | grep -q '"correct": true' \
+  || { echo "stackbench flap_crash residue diverged from sequential" >&2; exit 1; }
 
 echo "all checks passed"

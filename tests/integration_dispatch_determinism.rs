@@ -51,18 +51,6 @@ fn run_campaign_sharded(
     io: IoMode,
     workers: usize,
 ) -> Residue {
-    run_campaign_lookahead(dispatch, isolation, depth, io, workers, 1)
-}
-
-/// [`run_campaign_sharded`] with an explicit cross-cycle lookahead.
-fn run_campaign_lookahead(
-    dispatch: DispatchMode,
-    isolation: IsolationMode,
-    depth: usize,
-    io: IoMode,
-    workers: usize,
-    lookahead: usize,
-) -> Residue {
     let topo = Topology::linear(3, 2);
     let mut net = Network::new(&topo);
     let mut rt = LegoSdnRuntime::new(
@@ -73,8 +61,7 @@ fn run_campaign_lookahead(
                 ..DispatchConfig::default()
             }
             .window(depth)
-            .workers(workers)
-            .lookahead(lookahead),
+            .workers(workers),
             io: IoConfig {
                 mode: io,
                 ..IoConfig::default()
@@ -340,67 +327,6 @@ fn sharded_dispatch_preserves_the_residue_across_worker_counts() {
                     ),
                     (run.recoveries, run.byzantine_blocked, run.commands),
                     "workers {workers} {io:?} depth {depth}: per-cycle reports diverge"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn cross_cycle_lookahead_preserves_the_residue() {
-    // Cross-cycle windowing (DESIGN.md §15) changes which run_cycle call
-    // consumes an event — the send cursor runs ahead into raws enqueued by
-    // this cycle's own commits — so the oracle for lookahead L is
-    // *sequential dispatch at the same L*, not at L = 1. At every swept
-    // {workers × depth} point the residue must be bit-identical to that
-    // matching-lookahead sequential reference.
-    for lookahead in [1usize, 2] {
-        let reference = run_campaign_lookahead(
-            DispatchMode::Sequential,
-            IsolationMode::Channel,
-            1,
-            IoMode::Blocking,
-            1,
-            lookahead,
-        );
-        assert!(
-            reference.recoveries > 0,
-            "lookahead {lookahead}: campaign produced no recovery"
-        );
-        assert!(
-            reference.byzantine_blocked > 0,
-            "lookahead {lookahead}: campaign produced no byzantine block"
-        );
-        for workers in [1usize, 2, 4] {
-            for depth in [1usize, 8] {
-                let run = run_campaign_lookahead(
-                    DispatchMode::Pipelined,
-                    IsolationMode::Channel,
-                    depth,
-                    IoMode::Blocking,
-                    workers,
-                    lookahead,
-                );
-                assert_eq!(
-                    reference.flow_tables, run.flow_tables,
-                    "workers {workers} depth {depth} lookahead {lookahead}: flow tables diverge"
-                );
-                assert_eq!(
-                    reference.txlog, run.txlog,
-                    "workers {workers} depth {depth} lookahead {lookahead}: NetLog order diverges"
-                );
-                assert_eq!(
-                    reference.stats, run.stats,
-                    "workers {workers} depth {depth} lookahead {lookahead}: counters diverge"
-                );
-                assert_eq!(
-                    (
-                        reference.recoveries,
-                        reference.byzantine_blocked,
-                        reference.commands
-                    ),
-                    (run.recoveries, run.byzantine_blocked, run.commands),
-                    "workers {workers} depth {depth} lookahead {lookahead}: reports diverge"
                 );
             }
         }

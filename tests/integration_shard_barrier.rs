@@ -70,11 +70,6 @@ struct Residue {
 /// through three rounds of bursts with a crash trigger in the middle of
 /// each burst.
 fn run(mode: DispatchMode, depth: usize, workers: usize) -> Residue {
-    run_lookahead(mode, depth, workers, 1)
-}
-
-/// [`run`] with an explicit cross-cycle lookahead.
-fn run_lookahead(mode: DispatchMode, depth: usize, workers: usize, lookahead: usize) -> Residue {
     let topo = Topology::linear(2, 2);
     let mut net = Network::new(&topo);
     let poison = topo.hosts[topo.hosts.len() - 1].mac;
@@ -87,8 +82,7 @@ fn run_lookahead(mode: DispatchMode, depth: usize, workers: usize, lookahead: us
                 ..DispatchConfig::default()
             }
             .window(depth)
-            .workers(workers)
-            .lookahead(lookahead),
+            .workers(workers),
             obs: ObsConfig::instance(obs.clone()),
             crashpad: CrashPadConfig {
                 checkpoints: CheckpointPolicy {
@@ -206,40 +200,42 @@ fn cross_shard_writes_to_one_switch_commit_in_sequential_order() {
 }
 
 #[test]
-fn crash_during_lookahead_replays_contested_commits_in_order() {
-    // At lookahead 2 the per-stub send cursor runs ahead into raws this
-    // cycle's own commits enqueue (flood replies arriving as fresh
-    // packet-ins on the contested switch). The mid-burst crash must
-    // cancel those cross-cycle in-flight tags and re-send them from the
-    // restored state without perturbing the contested commit order.
-    let reference = run_lookahead(DispatchMode::Sequential, 1, 1, 2);
+fn crash_under_contention_replays_contested_commits_in_order() {
+    // The mid-burst crash must cancel the crasher's in-flight deliveries
+    // and re-send them from the restored state without perturbing the
+    // contested commit order — whether the window holds one slot (each
+    // worker settles its slot before sending the next) or the whole
+    // burst (every delivery is in flight when the crash is collected).
+    let reference = run(DispatchMode::Sequential, 1, 1);
     assert!(
         reference.recoveries > 0,
-        "lookahead campaign produced no crash recovery"
+        "campaign produced no crash recovery"
     );
     assert!(!reference.txlog.is_empty(), "campaign produced no txlog");
     for workers in [2usize, 4] {
-        let sharded = run_lookahead(DispatchMode::Pipelined, 4, workers, 2);
-        assert!(
-            sharded.worker_spread > 1,
-            "workers {workers}: all writers landed on one shard"
-        );
-        assert!(
-            sharded.recoveries > 0,
-            "workers {workers}: the crasher never fired under lookahead"
-        );
-        assert_eq!(
-            reference.flow_tables, sharded.flow_tables,
-            "workers {workers}: lookahead flow tables diverge from sequential"
-        );
-        assert_eq!(
-            reference.txlog, sharded.txlog,
-            "workers {workers}: lookahead NetLog order diverges from sequential"
-        );
-        assert_eq!(
-            reference.stats, sharded.stats,
-            "workers {workers}: lookahead counters diverge from sequential"
-        );
+        for depth in [1usize, 8] {
+            let sharded = run(DispatchMode::Pipelined, depth, workers);
+            assert!(
+                sharded.worker_spread > 1,
+                "workers {workers} depth {depth}: all writers landed on one shard"
+            );
+            assert!(
+                sharded.recoveries > 0,
+                "workers {workers} depth {depth}: the crasher never fired"
+            );
+            assert_eq!(
+                reference.flow_tables, sharded.flow_tables,
+                "workers {workers} depth {depth}: flow tables diverge from sequential"
+            );
+            assert_eq!(
+                reference.txlog, sharded.txlog,
+                "workers {workers} depth {depth}: NetLog order diverges from sequential"
+            );
+            assert_eq!(
+                reference.stats, sharded.stats,
+                "workers {workers} depth {depth}: counters diverge from sequential"
+            );
+        }
     }
 }
 
